@@ -35,7 +35,7 @@ use pmor_bench::micro::median;
 use pmor_bench::suite::{run_micro, BenchSuite, SuiteEntryKind};
 use pmor_bench::{timed, validate_bench_json, write_bench_json_in, BenchRecord};
 use pmor_circuits::ParametricSystem;
-use pmor_num::Complex64;
+use pmor_num::{par, Complex64, Matrix};
 use std::path::{Path, PathBuf};
 
 /// Where `pmor bench --suite <name>` looks for shipped suites when the
@@ -343,19 +343,33 @@ fn assert_transfers_bitwise(
         let hb = legs[1]
             .transfer(&p, s)
             .map_err(|e| CliError::Pmor(format!("{what} transfer: {e}")))?;
-        for r in 0..ha.nrows() {
-            for c in 0..ha.ncols() {
-                let (a, b) = (ha[(r, c)], hb[(r, c)]);
-                if a.re.to_bits() != b.re.to_bits() || a.im.to_bits() != b.im.to_bits() {
-                    return Err(CliError::Pmor(format!(
-                        "{what} reductions disagree at p={p:?}, s={s:?}: \
-                         {a:?} vs {b:?} — the two paths are not equivalent"
-                    )));
-                }
-            }
+        if let Some(diff) = bit_difference(&[ha], &[hb]) {
+            return Err(CliError::Pmor(format!(
+                "{what} reductions disagree at p={p:?}, s={s:?}: \
+                 {diff} — the two paths are not equivalent"
+            )));
         }
     }
     Ok(())
+}
+
+/// Where two lists of transfer matrices first differ bit for bit —
+/// count, shape, then entries in row-major order — or `None` when they
+/// are bitwise identical.
+fn bit_difference(a: &[Matrix<Complex64>], b: &[Matrix<Complex64>]) -> Option<String> {
+    if a.len() != b.len() {
+        return Some(format!("{} matrices vs {}", a.len(), b.len()));
+    }
+    let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+    a.iter().zip(b).find_map(|(x, y)| {
+        let (sx, sy) = ((x.nrows(), x.ncols()), (y.nrows(), y.ncols()));
+        if sx != sy {
+            return Some(format!("shape {sx:?} vs {sy:?}"));
+        }
+        let mut entries = x.as_slice().iter().zip(y.as_slice());
+        let (u, v) = entries.find(|(u, v)| bits(u) != bits(v))?;
+        Some(format!("{u:?} vs {v:?}"))
+    })
 }
 
 /// Serial (`threads = 1`) vs parallel (≥ 4 workers) reduction of the
@@ -374,9 +388,7 @@ fn run_compare_entry(
     // `available_parallelism` can be 1, which would silently degrade the
     // determinism gate to serial-vs-serial. Oversubscription is harmless
     // — results are bitwise identical at any worker count.
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .max(4);
+    let workers = par::workers(0, usize::MAX).max(4);
     let mut roms: Vec<ParametricRom> = Vec::with_capacity(2);
     let mut medians = Vec::with_capacity(2);
     let mut prov = None;
@@ -567,7 +579,7 @@ fn run_serve_entry(spec: &ServeEntrySpec<'_>) -> Result<Vec<BenchRecord>, CliErr
         spec.batch_points,
     );
     let serial = EvalEngine::serial();
-    let expected: Vec<Vec<Vec<pmor_num::Matrix<Complex64>>>> = all_batches
+    let expected: Vec<Vec<Vec<Matrix<Complex64>>>> = all_batches
         .iter()
         .map(|per_client| {
             per_client
@@ -611,69 +623,44 @@ fn run_serve_entry(spec: &ServeEntrySpec<'_>) -> Result<Vec<BenchRecord>, CliErr
     let mut times = Vec::with_capacity(spec.repeats);
     for i in 0..spec.warmup + spec.repeats {
         let (outcome, secs) = timed(|| {
-            std::thread::scope(|scope| {
-                let mut joins = Vec::with_capacity(spec.clients);
-                for (c, (my_batches, my_expected)) in all_batches.iter().zip(&expected).enumerate()
-                {
-                    let target = &target;
-                    joins.push(scope.spawn(move || -> Result<(), String> {
-                        let mut client = Client::connect(target)
-                            .map_err(|e| format!("client {c}: connect: {e}"))?;
-                        for (b, (pts, want)) in my_batches.iter().zip(my_expected).enumerate() {
-                            // Client::roundtrip already asserts the
-                            // echoed request id — stable per-request
-                            // ordering is part of every reply here.
-                            let reply = client
-                                .request_eval(fingerprint, pts)
-                                .map_err(|e| format!("client {c} batch {b}: {e}"))?;
-                            let p = &reply.provenance;
-                            if p.rom_fingerprint != fingerprint
-                                || p.eval_points as usize != pts.len()
-                            {
-                                return Err(format!(
-                                    "client {c} batch {b}: provenance mismatch \
-                                     (rom {:016x}, {} points)",
-                                    p.rom_fingerprint, p.eval_points
-                                ));
-                            }
-                            let got = reply.matrices();
-                            if got.len() != want.len() {
-                                return Err(format!(
-                                    "client {c} batch {b}: {} matrices, expected {}",
-                                    got.len(),
-                                    want.len()
-                                ));
-                            }
-                            for (a, g) in want.iter().zip(&got) {
-                                for r in 0..a.nrows() {
-                                    for col in 0..a.ncols() {
-                                        let (x, y) = (a[(r, col)], g[(r, col)]);
-                                        if x.re.to_bits() != y.re.to_bits()
-                                            || x.im.to_bits() != y.im.to_bits()
-                                        {
-                                            return Err(format!(
-                                                "client {c} batch {b}: served value \
-                                                 differs bitwise from in-process \
-                                                 ({x:?} vs {y:?})"
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
+            // One worker per client, so every client is its own
+            // concurrent connection.
+            let clients: Vec<_> = all_batches.iter().zip(&expected).enumerate().collect();
+            par::par_map(
+                clients,
+                spec.clients,
+                || (),
+                |_, (c, (my_batches, my_expected))| -> Result<(), String> {
+                    let mut client = Client::connect(&target)
+                        .map_err(|e| format!("client {c}: connect: {e}"))?;
+                    for (b, (pts, want)) in my_batches.iter().zip(my_expected).enumerate() {
+                        // Client::roundtrip already asserts the
+                        // echoed request id — stable per-request
+                        // ordering is part of every reply here.
+                        let reply = client
+                            .request_eval(fingerprint, pts)
+                            .map_err(|e| format!("client {c} batch {b}: {e}"))?;
+                        let p = &reply.provenance;
+                        if p.rom_fingerprint != fingerprint || p.eval_points as usize != pts.len() {
+                            return Err(format!(
+                                "client {c} batch {b}: provenance mismatch \
+                                 (rom {:016x}, {} points)",
+                                p.rom_fingerprint, p.eval_points
+                            ));
                         }
-                        Ok(())
-                    }));
-                }
-                let mut failures = Vec::new();
-                for join in joins {
-                    match join.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(msg)) => failures.push(msg),
-                        Err(_) => failures.push("client thread panicked".to_string()),
+                        if let Some(diff) = bit_difference(want, &reply.matrices()) {
+                            return Err(format!(
+                                "client {c} batch {b}: served values differ bitwise \
+                                 from in-process (expected vs served: {diff})"
+                            ));
+                        }
                     }
-                }
-                failures
-            })
+                    Ok(())
+                },
+            )
+            .into_iter()
+            .filter_map(Result::err)
+            .collect::<Vec<String>>()
         });
         if let Some(first) = outcome.first() {
             return Err(CliError::Pmor(format!(

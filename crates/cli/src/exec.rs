@@ -30,6 +30,7 @@ use crate::CliError;
 use pmor::eval::FullModel;
 use pmor::{EvalEngine, ParametricRom, ReducerKind, ReductionContext};
 use pmor_bench::{format_csv, format_grid, timed, write_bench_json_in, BenchRecord};
+use pmor_num::par;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -201,7 +202,7 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
 
     // --- Analysis: registry dispatch over the TransferModel trait ----------
     // Method×analysis jobs are independent, so they run concurrently on
-    // up to `[reduce] threads` scoped workers (0 = one per method);
+    // up to `[reduce] threads` workers (0 = available parallelism);
     // output is buffered per method and printed in method order, and
     // every job is deterministic, so concurrency never changes a byte.
     let mut records = Vec::new();
@@ -217,61 +218,22 @@ fn run(sc: &Scenario, save_roms: bool, analyze: bool) -> Result<ExecReport, CliE
         // fill reduction.
         let full = FullModel::with_ordering(&sys, sc.ordering);
         let dim = sys.dim();
-        // Worker count honors the `[reduce] threads` cap (`0` =
-        // available parallelism, matching the knob's meaning everywhere
-        // else); results land in their method's slot, so output order is
-        // scheduling-independent.
-        let configured = match sc.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        let workers = configured.min(reduced.len());
+        let workers = par::workers(sc.threads, reduced.len());
         // An auto engine (`[analysis] threads` unset or 0) divides the
         // machine across the concurrent jobs instead of multiplying with
         // them (jobs × all-cores would oversubscribe); an explicit value
         // is honored per job. Engine worker count never affects results,
         // only wall-clock (see pmor::engine).
         let engine = EvalEngine::new(match sc.analysis.config.threads {
-            None | Some(0) => {
-                let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
-                (avail / workers.max(1)).max(1)
-            }
+            None | Some(0) => (par::workers(0, usize::MAX) / workers).max(1),
             Some(n) => n,
         });
-        let outputs: Vec<Result<(String, BenchRecord), CliError>> = if workers <= 1 {
-            reduced
-                .iter()
-                .map(|m| analyze_one(sc, &engine, &full, m, &workload, dim))
-                .collect()
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let slots: Vec<std::sync::Mutex<Option<Result<(String, BenchRecord), CliError>>>> =
-                reduced
-                    .iter()
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(m) = reduced.get(i) else { break };
-                        let out = analyze_one(sc, &engine, &full, m, &workload, dim);
-                        // pmor-lint: allow(panic-in-lib) reason="slot mutex poisoning requires a prior worker panic, which thread::scope re-raises at join"
-                        *slots[i].lock().expect("slot poisoned") = Some(out);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| {
-                    s.into_inner()
-                        // pmor-lint: allow(panic-in-lib) reason="slot mutex poisoning requires a prior worker panic, which thread::scope re-raises at join"
-                        .expect("slot poisoned")
-                        // pmor-lint: allow(panic-in-lib) reason="each worker fills every slot index it claims before moving on"
-                        .expect("worker filled every claimed slot")
-                })
-                .collect()
-        };
+        let outputs = par::par_map(
+            reduced.iter().collect(),
+            workers,
+            || (),
+            |_, m| analyze_one(sc, &engine, &full, m, &workload, dim),
+        );
         for out in outputs {
             let (text, rec) = out?;
             print!("{text}");

@@ -14,8 +14,8 @@
 //!   evaluation cheap: dense assembly buffers for reduced models, and
 //!   memoized per-parameter-point sparse assemblies (plus complex port
 //!   maps) for the full model.
-//! * [`EvalEngine`] chunks arbitrary point sets across
-//!   [`std::thread::scope`] workers **deterministically**: points are
+//! * [`EvalEngine`] chunks arbitrary point sets across the scoped
+//!   workers of [`pmor_num::par`] **deterministically**: points are
 //!   pre-listed, chunks are contiguous, results are stitched back in
 //!   input order, and every per-point computation is independent of its
 //!   chunk — so `threads = 1` and `threads = 8` produce bitwise
@@ -54,7 +54,7 @@
 
 use crate::transient::{Stimulus, TransientOptions, TransientResult};
 use crate::Result;
-use pmor_num::{Complex64, Matrix};
+use pmor_num::{par, Complex64, Matrix};
 use pmor_sparse::CsrMatrix;
 
 /// One evaluation request: a parameter point and a complex frequency.
@@ -285,16 +285,10 @@ impl EvalEngine {
         self.threads
     }
 
-    /// The effective worker count for `items` work items: the configured
-    /// `threads` (or available parallelism when 0), never more than one
-    /// worker per item, never less than one.
+    /// The effective worker count for `items` work items
+    /// ([`par::workers`] of the configured `threads`).
     pub fn worker_count(&self, items: usize) -> usize {
-        let configured = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        };
-        configured.clamp(1, items.max(1))
+        par::workers(self.threads, items)
     }
 
     /// Runs `eval` over every item with per-thread workspaces, chunked
@@ -332,37 +326,19 @@ impl EvalEngine {
         F: Fn(&[I], &mut EvalWorkspace) -> Result<Vec<T>> + Sync,
     {
         // pmor-lint: allow(callgraph-ambiguous-kernel) reason="len is slice::len here; the workspace also defines len on its own containers and the analysis follows all of them"
-        let workers = self.worker_count(items.len());
-        if workers <= 1 {
-            let mut ws = EvalWorkspace::new();
-            return eval(items, &mut ws);
+        let n = items.len();
+        let workers = self.worker_count(n);
+        if workers == 1 {
+            // One chunk, no run vectors: a serial batch allocates nothing.
+            return eval(items, &mut EvalWorkspace::new());
         }
-        let chunk_size = items.len().div_ceil(workers);
         // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-        let chunks: Vec<&[I]> = items.chunks(chunk_size).collect();
-        let eval = &eval;
-        let results: Vec<Result<Vec<T>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut ws = EvalWorkspace::new();
-                        eval(chunk, &mut ws)
-                    })
-                })
-                // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-                .collect();
-            handles
-                .into_iter()
-                // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="join fails only when a worker panicked; re-raising that panic is the intended behavior — hot via map_chunked, the EvalEngine batch path itself"
-                .map(|h| h.join().expect("evaluation worker panicked"))
-                // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-                .collect()
-        });
+        let chunks: Vec<&[I]> = items.chunks(n.div_ceil(workers)).collect();
+        let parts = par::par_map(chunks, workers, EvalWorkspace::new, |ws, c| eval(c, ws));
         // pmor-lint: allow(alloc-in-kernel) reason="batch-layer orchestration: one allocation per batch/chunk amortized over every point; the per-point ROM path stays allocation-free"
-        let mut out = Vec::with_capacity(items.len());
-        for r in results {
-            out.extend(r?);
+        let mut out = Vec::with_capacity(n);
+        for part in parts {
+            out.extend(part?);
         }
         Ok(out)
     }

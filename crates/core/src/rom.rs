@@ -648,8 +648,9 @@ pub fn fingerprint(rom: &ParametricRom) -> u64 {
     fnv1a(&to_bytes(rom))
 }
 
-/// FNV-1a over a byte slice (the payload checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// Byte-wise FNV-1a: the `.rom` payload checksum, the model
+/// [`fingerprint`], and the `pmor serve` frame checksum.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

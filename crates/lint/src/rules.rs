@@ -19,7 +19,7 @@ pub enum LintKind {
     /// (`"det-hash-iter"`).
     DetHashIter,
     /// `std::thread::spawn`, or `thread::scope` outside the approved
-    /// scoped-pool modules (`"det-unscoped-thread"`).
+    /// scoped pool, `pmor_num::par` (`"det-unscoped-thread"`).
     DetUnscopedThread,
     /// `Instant`/`SystemTime` outside timing/provenance code
     /// (`"det-wallclock"`).
@@ -152,17 +152,11 @@ const RESULT_CRATES: [&str; 4] = [
     "crates/circuits/",
 ];
 
-/// The scoped-thread-pool modules where `std::thread::scope` is the
-/// approved mechanism (serial-identical batch factorization, the
-/// chunked eval engine, parallel method×analysis CLI jobs, and the
-/// `[serve-*]` bench entries' concurrent-client fan-out). A new pool
-/// belongs on this list — adding it here is a reviewable act.
-pub const APPROVED_SCOPE_MODULES: [&str; 4] = [
-    "crates/core/src/engine.rs",
-    "crates/sparse/src/factor_cache.rs",
-    "crates/cli/src/exec.rs",
-    "crates/cli/src/bench_cmd.rs",
-];
+/// The scoped-thread-pool module where `std::thread::scope` is the
+/// approved mechanism: `pmor_num::par`, the one deterministic pool every
+/// parallel batch in the workspace routes through. A new pool belongs on
+/// this list — adding it here is a reviewable act.
+pub const APPROVED_SCOPE_MODULES: [&str; 1] = ["crates/num/src/par.rs"];
 
 fn in_result_crate(path: &str) -> bool {
     RESULT_CRATES.iter().any(|c| path.starts_with(c))
@@ -312,11 +306,11 @@ fn for_loop_over(code: &str, name: &str) -> bool {
 
 /// `det-unscoped-thread`: `std::thread::spawn` creates a detached
 /// thread whose join and panic discipline is invisible to the
-/// serial-identical accounting the workspace's pools guarantee; it is
+/// serial-identical accounting the workspace's pool guarantees; it is
 /// flagged everywhere. `thread::scope` is the approved mechanism, but
-/// only inside the known pool modules ([`APPROVED_SCOPE_MODULES`]) —
-/// a scoped pool hiding elsewhere still needs the serial-vs-parallel
-/// bitwise conformance treatment before it is approved.
+/// only inside the pool module ([`APPROVED_SCOPE_MODULES`]) — a scoped
+/// pool hiding elsewhere still needs the serial-vs-parallel bitwise
+/// conformance treatment before it is approved.
 struct DetUnscopedThread;
 
 impl LintRule for DetUnscopedThread {
@@ -326,7 +320,7 @@ impl LintRule for DetUnscopedThread {
 
     fn describe(&self) -> &'static str {
         "std::thread::spawn anywhere, or thread::scope outside the \
-         approved scoped-pool modules"
+         approved scoped pool (pmor_num::par)"
     }
 
     fn in_scope(&self, _path: &str) -> bool {
@@ -356,10 +350,10 @@ impl LintRule for DetUnscopedThread {
                     self.kind(),
                     file,
                     i + 1,
-                    "`thread::scope` outside the approved scoped-pool modules \
-                     — prove serial-vs-parallel bitwise identity and add the \
-                     module to APPROVED_SCOPE_MODULES, or route through an \
-                     existing pool"
+                    "`thread::scope` outside the approved scoped pool — route \
+                     through `pmor_num::par::par_map`, or prove serial-vs-parallel \
+                     bitwise identity and add the module to \
+                     APPROVED_SCOPE_MODULES"
                         .to_string(),
                 ));
             }

@@ -101,12 +101,8 @@ pub fn fan_out() {
         "crates/core/src/fixture.rs",
         scoped,
     );
-    // …but the engine's own scoped pool is the sanctioned home for it.
-    silent(
-        LintKind::DetUnscopedThread,
-        "crates/core/src/engine.rs",
-        scoped,
-    );
+    // …but the workspace's one scoped pool is the sanctioned home for it.
+    silent(LintKind::DetUnscopedThread, "crates/num/src/par.rs", scoped);
 
     let clean = r#"
 pub fn sequential(items: &[f64]) -> f64 {

@@ -18,7 +18,8 @@
 //!   subspace routine in `pmor`),
 //! * [`svd`] — one-sided Jacobi singular value decomposition,
 //! * [`eig`] — Hessenberg reduction plus shifted QR eigensolver and a cyclic
-//!   Jacobi symmetric eigensolver.
+//!   Jacobi symmetric eigensolver,
+//! * [`par`] — the workspace's one deterministic scoped worker pool.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@ pub mod eig;
 pub mod lu;
 pub mod matrix;
 pub mod orth;
+pub mod par;
 pub mod qr;
 pub mod scalar;
 pub mod svd;

@@ -29,6 +29,7 @@
 
 use crate::ServeError;
 use pmor::engine::EvalPoint;
+use pmor::rom::fnv1a;
 use pmor::ParametricRom;
 use pmor_bench::BenchRecord;
 use pmor_num::{Complex64, Matrix};
@@ -796,17 +797,6 @@ impl<'a> ByteReader<'a> {
             )))
         }
     }
-}
-
-/// FNV-1a over a byte slice (the frame checksum — same function the
-/// ROM file format uses for its payload).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

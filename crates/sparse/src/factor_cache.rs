@@ -17,9 +17,9 @@
 
 use crate::lu::{SparseLu, SymbolicLu};
 use crate::Result;
-use pmor_num::Complex64;
+use pmor_num::{par, Complex64};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// An opaque cache key: a sequence of 64-bit words (typically a role tag
 /// followed by the bit patterns of the identifying floats).
@@ -172,65 +172,9 @@ impl FactorCache {
     where
         F: FnOnce() -> Result<SparseLu<f64>> + Send,
     {
-        let keys: Vec<FactorKey> = jobs.iter().map(|(k, _)| k.clone()).collect();
-        // Misses only, first occurrence per key, in job order.
-        let mut pending: Vec<(FactorKey, F)> = Vec::new();
-        for (key, factor) in jobs {
-            if !self.real.contains_key(&key) && !pending.iter().any(|(k, _)| *k == key) {
-                pending.push((key, factor));
-            }
-        }
-        let workers = effective_threads(threads, pending.len());
-        let produced: Vec<(FactorKey, Result<SparseLu<f64>>)> = if workers <= 1 {
-            pending.into_iter().map(|(k, f)| (k, f())).collect()
-        } else {
-            let queue = Mutex::new(pending.into_iter().enumerate().collect::<Vec<_>>());
-            let done = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-                        let Some((slot, (key, factor))) = queue.lock().unwrap().pop() else {
-                            break;
-                        };
-                        let lu = factor();
-                        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-                        done.lock().unwrap().push((slot, key, lu));
-                    });
-                }
-            });
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-            let mut out = done.into_inner().unwrap();
-            out.sort_by_key(|(slot, _, _)| *slot);
-            out.into_iter().map(|(_, k, lu)| (k, lu)).collect()
-        };
-        // Insert in job order — cache state and counters are independent
-        // of worker scheduling — and surface the earliest failure.
-        let mut first_err = None;
-        let mut inserted = 0usize;
-        for (key, lu) in produced {
-            match lu {
-                Ok(lu) => {
-                    self.stats.real_factorizations += 1;
-                    inserted += 1;
-                    self.real.insert(key, Arc::new(lu));
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.stats.hits += keys.len() - inserted;
-        Ok(keys
-            .iter()
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err — hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-            .map(|k| Arc::clone(self.real.get(k).expect("all keys resolved")))
-            .collect())
+        self.real_batch(jobs, |pending| {
+            par::par_map(pending, threads, || (), |_, (key, factor)| (key, factor()))
+        })
     }
 
     /// [`FactorCache::real_parallel`] with **symbolic reuse**: jobs supply
@@ -261,67 +205,58 @@ impl FactorCache {
     where
         M: FnOnce() -> crate::CsrMatrix<f64> + Send,
     {
-        let keys: Vec<FactorKey> = jobs.iter().map(|(k, _)| k.clone()).collect();
-        // Misses only, first occurrence per key, in job order.
-        let mut pending: Vec<(FactorKey, M)> = Vec::new();
-        for (key, assemble) in jobs {
-            if !self.real.contains_key(&key) && !pending.iter().any(|(k, _)| *k == key) {
-                pending.push((key, assemble));
-            }
-        }
         let mut sym = symbolic;
-        let mut produced: Vec<(FactorKey, Result<SparseLu<f64>>)> =
-            Vec::with_capacity(pending.len());
-        if sym.is_none() && !pending.is_empty() {
-            // Seed the analysis from the first miss; later misses replay it.
-            let (key, assemble) = pending.remove(0);
-            match SparseLu::factor_symbolic(&assemble(), ordering) {
-                Ok((lu, s)) => {
+        let factors = self.real_batch(jobs, |mut pending| {
+            let mut produced = Vec::with_capacity(pending.len());
+            if sym.is_none() && !pending.is_empty() {
+                // Seed the analysis from the first miss; later misses replay it.
+                let (key, assemble) = pending.remove(0);
+                let lu = SparseLu::factor_symbolic(&assemble(), ordering).map(|(lu, s)| {
                     sym = Some(Arc::new(s));
-                    produced.push((key, Ok(lu)));
-                }
-                Err(e) => produced.push((key, Err(e))),
-            }
-        }
-        let workers = effective_threads(threads, pending.len());
-        {
-            let sym_ref = sym.as_deref();
-            let run = |a: &crate::CsrMatrix<f64>| match sym_ref {
-                Some(s) => SparseLu::refactor(a, s),
-                None => SparseLu::factor(a, ordering),
-            };
-            if workers <= 1 {
-                produced.extend(pending.into_iter().map(|(k, assemble)| {
-                    let lu = run(&assemble());
-                    (k, lu)
-                }));
-            } else {
-                let queue = Mutex::new(pending.into_iter().enumerate().collect::<Vec<_>>());
-                let done = Mutex::new(Vec::new());
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-                            let Some((slot, (key, assemble))) = queue.lock().unwrap().pop() else {
-                                break;
-                            };
-                            let lu = run(&assemble());
-                            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-                            done.lock().unwrap().push((slot, key, lu));
-                        });
-                    }
+                    lu
                 });
-                // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="poisoning requires a panic in a sibling scoped worker, which thread::scope re-raises at join; hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
-                let mut out = done.into_inner().unwrap();
-                out.sort_by_key(|(slot, _, _)| *slot);
-                produced.extend(out.into_iter().map(|(_, k, lu)| (k, lu)));
+                produced.push((key, lu));
+            }
+            let sym = sym.as_deref();
+            produced.extend(par::par_map(
+                pending,
+                threads,
+                || (),
+                |_, (key, assemble)| {
+                    let a = assemble();
+                    let lu = match sym {
+                        Some(s) => SparseLu::refactor(&a, s),
+                        None => SparseLu::factor(&a, ordering),
+                    };
+                    (key, lu)
+                },
+            ));
+            produced
+        })?;
+        Ok((factors, sym))
+    }
+
+    /// The batch routine behind both parallel entry points: collects the
+    /// misses (first occurrence per key, in job order), hands them to
+    /// `factor_misses` — which returns one factorization per miss, in
+    /// order — then inserts in job order, so cache state and counters
+    /// are independent of worker scheduling, and surfaces the earliest
+    /// failure.
+    fn real_batch<J>(
+        &mut self,
+        jobs: Vec<(FactorKey, J)>,
+        factor_misses: impl FnOnce(Vec<(FactorKey, J)>) -> Vec<(FactorKey, Result<SparseLu<f64>>)>,
+    ) -> Result<Vec<Arc<SparseLu<f64>>>> {
+        let keys: Vec<FactorKey> = jobs.iter().map(|(k, _)| k.clone()).collect();
+        let mut pending: Vec<(FactorKey, J)> = Vec::new();
+        for (key, job) in jobs {
+            if !self.real.contains_key(&key) && !pending.iter().any(|(k, _)| *k == key) {
+                pending.push((key, job));
             }
         }
-        // Insert in job order and surface the earliest failure — the same
-        // accounting as `real_parallel`.
         let mut first_err = None;
         let mut inserted = 0usize;
-        for (key, lu) in produced {
+        for (key, lu) in factor_misses(pending) {
             match lu {
                 Ok(lu) => {
                     self.stats.real_factorizations += 1;
@@ -329,9 +264,7 @@ impl FactorCache {
                     self.real.insert(key, Arc::new(lu));
                 }
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -339,12 +272,11 @@ impl FactorCache {
             return Err(e);
         }
         self.stats.hits += keys.len() - inserted;
-        let out = keys
+        Ok(keys
             .iter()
             // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="every key is either a prior hit or was inserted from `pending` above; factorization failures already returned Err — hot via the FactorCache batch paths real_parallel/real_parallel_reusing themselves"
             .map(|k| Arc::clone(self.real.get(k).expect("all keys resolved")))
-            .collect();
-        Ok((out, sym))
+            .collect())
     }
 
     /// Usage counters (misses are factorizations, hits are reuses).
@@ -368,17 +300,6 @@ impl FactorCache {
         self.real.clear();
         self.complex.clear();
     }
-}
-
-/// Worker count for a batch: the configured knob (`0` = available
-/// parallelism), never more than one worker per job, at least one.
-fn effective_threads(threads: usize, jobs: usize) -> usize {
-    let configured = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    };
-    configured.min(jobs).max(1)
 }
 
 #[cfg(test)]

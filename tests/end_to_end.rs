@@ -5,9 +5,10 @@ use pmor::eval::FullModel;
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
 use pmor::prima::{Prima, PrimaOptions};
-use pmor::Reducer;
+use pmor::{Reducer, ReducerKind, ReductionContext};
 use pmor_circuits::generators::{
-    clock_tree, rc_random, rlc_bus, ClockTreeConfig, RcRandomConfig, RlcBusConfig,
+    clock_tree, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, RcMeshConfig, RcRandomConfig,
+    RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
@@ -144,4 +145,41 @@ fn projection_expands_reduced_states_to_node_voltages() {
     let slu = pmor_sparse::SparseLu::factor(&sys.g0, None).unwrap();
     let xf = slu.solve(&sys.b.col(0)).unwrap();
     assert!(pmor_num::vecops::rel_err(&x_nodes, &xf) < 1e-8);
+}
+
+/// A 32×32 RC mesh whose jittered element values once stalled the
+/// one-sided Jacobi SVD inside the low-rank sketch: one column pair
+/// flipped between two states a rounding error above ε until the sweep
+/// cap. The SVD now accepts that state at LAPACK's √m·ε tolerance, and
+/// the reduced model must still track the full model.
+#[test]
+fn lowrank_reduces_the_mesh_that_stalled_the_jacobi_svd() {
+    let sys = rc_mesh(&RcMeshConfig {
+        rows: 32,
+        cols: 32,
+        num_regions: 4,
+        seed: 0xe4c5_dc34_1c2c_87d6,
+        ..Default::default()
+    })
+    .assemble();
+    let mut ctx = ReductionContext::new();
+    let rom = ReducerKind::LowRank
+        .build(&sys)
+        .reduce(&sys, &mut ctx)
+        .unwrap_or_else(|e| panic!("lowrank on the stalling mesh: {e}"));
+    let full = FullModel::new(&sys);
+    let mut worst = 0.0f64;
+    for p in [[0.0; 4], [0.1, -0.1, 0.05, -0.05], [-0.1, 0.1, -0.1, 0.1]] {
+        for f_hz in [1e8, 1e9, 5e9] {
+            let s = Complex64::jw(2.0 * std::f64::consts::PI * f_hz);
+            let hf = full.transfer(&p, s).unwrap();
+            let hr = rom.transfer(&p, s).unwrap();
+            worst = worst.max(hf.sub_mat(&hr).max_abs() / hf.max_abs());
+        }
+    }
+    assert!(
+        worst <= 1e-3,
+        "q = {}: worst relative error {worst:e}",
+        rom.size()
+    );
 }
