@@ -11,18 +11,20 @@
 //!   sweep (±30 %), M7 nominal.
 //!
 //! The reduction method is selected by registry name as the first CLI
-//! argument (default `lowrank`, figure-tuned) and consumed exclusively as
-//! `&dyn Reducer` by the Monte-Carlo and sweep engines.
+//! argument (default `lowrank`, figure-tuned). The histogram comes from
+//! `MonteCarlo::pole_errors`, the grid from the registry's
+//! `CornerSweepAnalysis`, both against the one prebuilt ROM.
 //!
 //! Run: `cargo run --release -p pmor-bench --bin fig5_rcneta [method]`
 
+use pmor::eval::FullModel;
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
 use pmor::{reducer_by_name, Reducer, ReductionContext};
 use pmor_bench::{print_grid, timed, write_bench_json, BenchRecord};
 use pmor_circuits::generators::rcnet_a;
 use pmor_circuits::ParametricSystem;
-use pmor_variation::sweep::Sweep2d;
-use pmor_variation::MonteCarlo;
+use pmor_variation::analysis::CornerSweepAnalysis;
+use pmor_variation::{Analysis, ErrorMetric, MonteCarlo};
 
 /// The figure-tuned method table. The paper's RCNetA model is size 29 at
 /// rank 1; our synthetic net needs rank 2 (its leaf layer has a flatter
@@ -52,8 +54,8 @@ fn main() {
     );
     let reducer = figure_reducer(&method, &sys);
 
-    // Reduce once up front (so the size/time are reported), then hand the
-    // ROM-producing reducer to the engines.
+    // Reduce once up front (so the size/time are reported); both plots
+    // analyze that one ROM.
     let mut ctx = ReductionContext::new();
     let (rom, t_red) = timed(|| reducer.reduce(&sys, &mut ctx).expect("reduction"));
     println!(
@@ -65,7 +67,12 @@ fn main() {
     // --- Left plot: Monte-Carlo pole-error histogram ------------------------
     let instances = 200;
     let mc = MonteCarlo::paper_protocol(sys.num_params(), instances);
-    let (report, t_mc) = timed(|| mc.pole_errors_with_rom(&sys, &rom, 5).expect("Monte Carlo"));
+    let engine = mc.engine();
+    let full = FullModel::new(&sys);
+    let (report, t_mc) = timed(|| {
+        mc.pole_errors(&engine, &full, &rom, 5)
+            .expect("Monte Carlo")
+    });
     let s = report.summary();
     println!(
         "# MC: {} instances x 5 dominant poles = {} errors in {t_mc:.1}s ({} worker threads)",
@@ -83,18 +90,27 @@ fn main() {
     }
 
     // --- Right plot: dominant-pole error over the M5 x M6 sweep -------------
-    let sweep = Sweep2d::paper_m5_m6(5);
+    let sweep = CornerSweepAnalysis {
+        param_a: 0, // M5
+        param_b: 1, // M6
+        lo: -0.3,
+        hi: 0.3,
+        points_per_axis: 5,
+        metric: ErrorMetric::Poles { num_poles: 1 },
+    };
     let grid = sweep
-        .dominant_pole_error_grid_with_rom(&sys, &rom)
-        .expect("sweep grid");
+        .run(&engine, &full, &rom)
+        .expect("sweep grid")
+        .grid
+        .expect("corner sweeps report a grid");
     print_grid(
         "Fig 5 (right): dominant-pole relative error [%] vs M5 (rows) x M6 (cols) width variation [fraction]",
         "M5\\M6",
-        &sweep.values_a,
-        &sweep.values_b,
-        &grid,
+        &grid.row_values,
+        &grid.col_values,
+        &grid.values,
     );
-    let grid_max = grid.iter().flatten().copied().fold(0.0f64, f64::max);
+    let grid_max = grid.values.iter().flatten().copied().fold(0.0f64, f64::max);
 
     let record = BenchRecord::new(&method, format!("rcnet_a({})", sys.dim()), t_red)
         .metric("size", rom.size() as f64)

@@ -34,14 +34,10 @@ pub fn logspace(lo_hz: f64, hi_hz: f64, count: usize) -> Vec<f64> {
     pmor_variation::sweep::logspace(lo_hz, hi_hz, count)
 }
 
-/// Linearly spaced values over `[lo, hi]`, inclusive.
+/// Linearly spaced values over `[lo, hi]`, inclusive. Delegates to
+/// [`pmor_variation::sweep::linspace`], as [`logspace`] does.
 pub fn linspace(lo: f64, hi: f64, count: usize) -> Vec<f64> {
-    if count == 1 {
-        return vec![0.5 * (lo + hi)];
-    }
-    (0..count)
-        .map(|i| lo + (hi - lo) * i as f64 / (count - 1) as f64)
-        .collect()
+    pmor_variation::sweep::linspace(lo, hi, count)
 }
 
 /// Times a closure, returning its result and the elapsed seconds.

@@ -1,10 +1,10 @@
 //! Minimal micro-benchmark harness.
 //!
-//! The offline build environment has no criterion; `cargo bench` targets
-//! in this workspace are plain `harness = false` binaries built on this
-//! module: warm up, run a fixed number of timed iterations, report
-//! min/mean/max. Good enough to track hot-path regressions by eye and by
-//! the emitted [`crate::report`] records; not a statistical instrument.
+//! The offline build environment has no criterion; the `[micro]` entries
+//! of a `pmor bench` suite run on this module: warm up, run a fixed number
+//! of timed iterations, report min/median/max. Good enough to track
+//! hot-path regressions by eye and by the emitted [`crate::report`]
+//! records; not a statistical instrument.
 
 use std::time::Instant;
 
@@ -24,20 +24,9 @@ pub struct MicroStats {
     pub iters: usize,
 }
 
-/// Runs `f` once for warm-up and `iters` timed times, printing and
-/// returning the summary.
-///
-/// # Panics
-///
-/// Panics if `iters` is zero.
-pub fn bench_case<T>(name: &str, iters: usize, f: impl FnMut() -> T) -> MicroStats {
-    bench_case_config(name, 1, iters, f)
-}
-
-/// [`bench_case`] with an explicit warm-up count: runs `f` `warmup`
-/// untimed times, then `iters` timed times, printing and returning the
-/// summary. The suite runner (`pmor bench`) drives this variant with the
-/// suite file's `warmup`/`repeats` knobs.
+/// Runs `f` `warmup` untimed times, then `iters` timed times, printing
+/// and returning the summary. The suite runner (`pmor bench`) drives it
+/// with the suite file's `warmup`/`repeats` knobs.
 ///
 /// # Panics
 ///
@@ -48,7 +37,7 @@ pub fn bench_case_config<T>(
     iters: usize,
     mut f: impl FnMut() -> T,
 ) -> MicroStats {
-    assert!(iters > 0, "bench_case: need at least one iteration");
+    assert!(iters > 0, "bench_case_config: need at least one iteration");
     for _ in 0..warmup {
         std::hint::black_box(f()); // warm-up (page in, fill caches)
     }
@@ -96,7 +85,7 @@ mod tests {
 
     #[test]
     fn reports_plausible_times() {
-        let s = bench_case("noop", 3, || 1 + 1);
+        let s = bench_case_config("noop", 1, 3, || 1 + 1);
         assert_eq!(s.iters, 3);
         assert!(s.min_s >= 0.0 && s.min_s <= s.mean_s && s.mean_s <= s.max_s);
         assert!(s.min_s <= s.median_s && s.median_s <= s.max_s);

@@ -43,10 +43,10 @@
 //! ```
 
 use crate::dist::ParameterDistribution;
-use crate::montecarlo::MonteCarlo;
+use crate::montecarlo::{instance_pole_errors, MonteCarlo};
 use crate::stats::Summary;
-use crate::sweep::{linspace, Sweep2d};
-use pmor::eval::pole_errors;
+use crate::sweep::{grid_points, linspace};
+pub use crate::yield_analysis::YieldAnalysis;
 use pmor::transient::{IntegrationMethod, Stimulus, TransientOptions};
 use pmor::{EvalEngine, EvalPoint, PmorError, Result, TransferModel};
 use pmor_num::Complex64;
@@ -68,6 +68,31 @@ pub enum ErrorMetric {
         /// Frequencies evaluated, Hz.
         freqs_hz: Vec<f64>,
     },
+}
+
+impl ErrorMetric {
+    /// Rejects metrics that would evaluate nothing and so report a
+    /// vacuous zero error. Checked at [`Analysis::run`], since struct
+    /// literals bypass [`AnalysisKind::build`].
+    fn validate(&self) -> Result<()> {
+        match self {
+            ErrorMetric::Poles { num_poles: 0 } => {
+                Err(invalid("the poles metric needs num_poles >= 1"))
+            }
+            ErrorMetric::Poles { .. } => Ok(()),
+            ErrorMetric::Transfer { freqs_hz } if freqs_hz.is_empty() => {
+                Err(invalid("the transfer metric needs at least one frequency"))
+            }
+            ErrorMetric::Transfer { freqs_hz } => {
+                match freqs_hz.iter().find(|f| !(**f > 0.0 && f.is_finite())) {
+                    Some(f) => Err(invalid(format!(
+                        "transfer metric frequencies must be positive and finite, got {f}"
+                    ))),
+                    None => Ok(()),
+                }
+            }
+        }
+    }
 }
 
 /// A CSV-shaped result block: one x column plus named series.
@@ -116,7 +141,7 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    fn new(analysis: &str) -> Self {
+    pub(crate) fn new(analysis: &str) -> Self {
         AnalysisReport {
             analysis: analysis.to_string(),
             metrics: Vec::new(),
@@ -148,7 +173,7 @@ impl AnalysisReport {
     /// evaluations; `mapped_items` is the number of work items the
     /// engine actually chunked (instances, grid corners, sweep points),
     /// which is what bounds the effective worker count.
-    fn stamp(
+    pub(crate) fn stamp(
         mut self,
         engine: &EvalEngine,
         full: &dyn TransferModel,
@@ -195,7 +220,7 @@ pub trait Analysis {
     ) -> Result<AnalysisReport>;
 }
 
-fn invalid(msg: impl Into<String>) -> PmorError {
+pub(crate) fn invalid(msg: impl Into<String>) -> PmorError {
     PmorError::Invalid(msg.into())
 }
 
@@ -467,13 +492,52 @@ pub fn analysis_by_name(name: &str, cfg: &AnalysisConfig) -> Option<Result<Box<d
 
 /// The Monte-Carlo sampler the analyses share: the paper's ±3σ-truncated
 /// normal per parameter, deterministic in the seed.
-fn sampler(np: usize, instances: usize, sigma: f64, seed: u64) -> MonteCarlo {
+pub(crate) fn sampler(np: usize, instances: usize, sigma: f64, seed: u64) -> MonteCarlo {
     MonteCarlo {
         distributions: vec![ParameterDistribution::Normal3Sigma { sigma }; np],
         instances,
         seed,
         threads: 0,
     }
+}
+
+/// The worst relative transfer error `max_f |H_full − H_rom| / |H_full|`
+/// at each of `points` — the one per-point transfer kernel the
+/// Monte-Carlo and corner-sweep analyses share.
+///
+/// # Errors
+///
+/// Fails when a point is singular, or when either model returns a
+/// non-finite entry (a NaN would otherwise vanish in the max).
+fn worst_rel_transfer_err_per_point(
+    engine: &EvalEngine,
+    full: &dyn TransferModel,
+    rom: &dyn TransferModel,
+    points: &[Vec<f64>],
+    freqs_hz: &[f64],
+) -> Result<Vec<f64>> {
+    engine.map(points, |p, ws| {
+        let mut worst = 0.0f64;
+        for &f in freqs_hz {
+            let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
+            let hf = full.transfer_with(p, s, ws)?;
+            let hr = rom.transfer_with(p, s, ws)?;
+            for (kind, h) in [(full.kind(), &hf), (rom.kind(), &hr)] {
+                if !h.as_slice().iter().all(|z| z.is_finite()) {
+                    return Err(non_finite(kind, p, f));
+                }
+            }
+            let denom = hf.max_abs().max(1e-300);
+            worst = worst.max(hf.sub_mat(&hr).max_abs() / denom);
+        }
+        Ok(worst)
+    })
+}
+
+fn non_finite(kind: &str, p: &[f64], f_hz: f64) -> PmorError {
+    invalid(format!(
+        "{kind} model returned a non-finite transfer value at p = {p:?}, f = {f_hz:e} Hz"
+    ))
 }
 
 // --- frequency_sweep -------------------------------------------------------
@@ -531,6 +595,13 @@ impl Analysis for FrequencySweepAnalysis {
             let full_mag: Vec<f64> = engine.transfer_batch(full, &pts)?.iter().map(mag).collect();
             let full_secs = full_start.elapsed().as_secs_f64();
             eval_points += pts.len();
+            for ((f, full_h), rom_h) in freqs.iter().zip(&full_mag).zip(&rom_mag) {
+                for (kind, h) in [(full.kind(), full_h), (rom.kind(), rom_h)] {
+                    if !h.is_finite() {
+                        return Err(non_finite(kind, &p, *f));
+                    }
+                }
+            }
             let worst_rel = full_mag
                 .iter()
                 .zip(&rom_mag)
@@ -595,27 +666,16 @@ impl Analysis for MonteCarloAnalysis {
     ) -> Result<AnalysisReport> {
         // pmor-lint: allow(det-wallclock) reason="wall-clock here is measurement output (elapsed/speedup report metadata), never an input to numerics"
         let start = Instant::now();
-        let points =
-            sampler(full.num_params(), self.instances, self.sigma, self.seed).sample_points();
+        self.metric.validate()?;
+        let mc = sampler(full.num_params(), self.instances, self.sigma, self.seed);
         let mut report =
             AnalysisReport::new(self.name()).metric("instances", self.instances as f64);
         let eval_points;
         match &self.metric {
             ErrorMetric::Poles { num_poles } => {
                 let n = *num_poles;
-                let per_instance: Vec<Vec<f64>> = engine.map(&points, |p, _ws| {
-                    let reference = full.dominant_poles(p, n)?;
-                    // Deeper candidate list than the reference so
-                    // near-degenerate reference poles both find a partner.
-                    let candidate = rom.dominant_poles(p, 2 * n + 4)?;
-                    Ok(pole_errors(&reference, &candidate)
-                        .into_iter()
-                        .map(|e| 100.0 * e)
-                        .collect())
-                })?;
-                eval_points = 2 * points.len();
-                let pooled: Vec<f64> = per_instance.into_iter().flatten().collect();
-                let s = Summary::of(&pooled);
+                let s = mc.pole_errors(engine, full, rom, n)?.summary();
+                eval_points = 2 * self.instances;
                 report.lines.push(format!(
                     "{} instances × {n} poles — max {:.4}% mean {:.4}% median {:.4}%",
                     self.instances, s.max, s.mean, s.median
@@ -626,25 +686,20 @@ impl Analysis for MonteCarloAnalysis {
                     .metric("median_pole_err_percent", s.median);
             }
             ErrorMetric::Transfer { freqs_hz } => {
-                let freqs = freqs_hz.clone();
-                let errs: Vec<f64> = engine.map(&points, |p, ws| {
-                    let mut worst = 0.0f64;
-                    for &f in &freqs {
-                        let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                        let hf = full.transfer_with(p, s, ws)?;
-                        let hr = rom.transfer_with(p, s, ws)?;
-                        let denom = hf.max_abs().max(1e-300);
-                        worst = worst.max(hf.sub_mat(&hr).max_abs() / denom);
-                    }
-                    Ok(worst)
-                })?;
-                eval_points = 2 * points.len() * freqs.len();
+                let errs = worst_rel_transfer_err_per_point(
+                    engine,
+                    full,
+                    rom,
+                    &mc.sample_points(),
+                    freqs_hz,
+                )?;
+                eval_points = 2 * self.instances * freqs_hz.len();
                 let worst = errs.iter().copied().fold(0.0, f64::max);
                 let mean = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
                 report.lines.push(format!(
                     "{} instances × {} freqs — worst rel |H| err {worst:.3e}, mean {mean:.3e}",
                     self.instances,
-                    freqs.len()
+                    freqs_hz.len()
                 ));
                 report = report
                     .metric("worst_rel_transfer_err", worst)
@@ -652,7 +707,7 @@ impl Analysis for MonteCarloAnalysis {
             }
         }
         let secs = start.elapsed().as_secs_f64();
-        Ok(report.stamp(engine, full, rom, eval_points, points.len(), secs))
+        Ok(report.stamp(engine, full, rom, eval_points, self.instances, secs))
     }
 }
 
@@ -696,21 +751,18 @@ impl Analysis for CornerSweepAnalysis {
                 self.param_a, self.param_b
             )));
         }
+        self.metric.validate()?;
         let values = linspace(self.lo, self.hi, self.points_per_axis);
-        let sweep = Sweep2d {
-            param_a: self.param_a,
-            param_b: self.param_b,
-            values_a: values.clone(),
-            values_b: values.clone(),
-            base: vec![0.0; np],
-        };
-        let grid_points = sweep.points();
+        let grid_points = grid_points(&vec![0.0; np], self.param_a, self.param_b, &values);
         let (label, unit, errs, eval_points): (&str, &str, Vec<f64>, usize) = match &self.metric {
             ErrorMetric::Poles { .. } => {
-                let errs = engine.map(&grid_points, |(_, _, p), _ws| {
-                    let reference = full.dominant_poles(p, 1)?;
-                    let candidate = rom.dominant_poles(p, 6)?;
-                    Ok(100.0 * pole_errors(&reference, &candidate)[0])
+                let errs = engine.map(&grid_points, |p, _ws| {
+                    instance_pole_errors(full, rom, p, 1)?
+                        .first()
+                        .copied()
+                        .ok_or_else(|| {
+                            invalid(format!("full model has no finite poles at p = {p:?}"))
+                        })
                 })?;
                 (
                     "dominant-pole error %",
@@ -719,31 +771,18 @@ impl Analysis for CornerSweepAnalysis {
                     2 * grid_points.len(),
                 )
             }
-            ErrorMetric::Transfer { freqs_hz } => {
-                let freqs = freqs_hz.clone();
-                let errs = engine.map(&grid_points, |(_, _, p), ws| {
-                    let mut worst = 0.0f64;
-                    for &f in &freqs {
-                        let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                        let hf = full.transfer_with(p, s, ws)?;
-                        let hr = rom.transfer_with(p, s, ws)?;
-                        let denom = hf.max_abs().max(1e-300);
-                        worst = worst.max(hf.sub_mat(&hr).max_abs() / denom);
-                    }
-                    Ok(worst)
-                })?;
-                (
-                    "worst relative |H| error",
-                    "rel_transfer_err",
-                    errs,
-                    2 * grid_points.len() * freqs.len(),
-                )
-            }
+            ErrorMetric::Transfer { freqs_hz } => (
+                "worst relative |H| error",
+                "rel_transfer_err",
+                worst_rel_transfer_err_per_point(engine, full, rom, &grid_points, freqs_hz)?,
+                2 * grid_points.len() * freqs_hz.len(),
+            ),
         };
-        let mut grid = vec![vec![0.0; values.len()]; values.len()];
-        for ((ia, ib, _), err) in grid_points.iter().zip(&errs) {
-            grid[*ia][*ib] = *err;
-        }
+        // `max(1)`: a struct-literal `points_per_axis: 0` is an empty grid.
+        let grid = errs
+            .chunks(values.len().max(1))
+            .map(<[f64]>::to_vec)
+            .collect();
         let worst = errs.iter().copied().fold(0.0, f64::max);
         let mean = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
         let mut report = AnalysisReport::new(self.name())
@@ -764,78 +803,6 @@ impl Analysis for CornerSweepAnalysis {
         });
         let secs = start.elapsed().as_secs_f64();
         Ok(report.stamp(engine, full, rom, eval_points, grid_points.len(), secs))
-    }
-}
-
-// --- yield -----------------------------------------------------------------
-
-/// Monte-Carlo parametric yield at reduced-model cost: the fraction of
-/// sampled instances whose dominant pole magnitude stays above a
-/// bandwidth floor (absolute, or relative to the reduced model's nominal
-/// bandwidth).
-#[derive(Debug, Clone, PartialEq)]
-pub struct YieldAnalysis {
-    /// Number of sampled instances.
-    pub instances: usize,
-    /// Per-parameter sigma of the ±3σ-truncated normal.
-    pub sigma: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Absolute pass threshold, rad/s. `None` = `margin` × nominal.
-    pub min_pole_rad_s: Option<f64>,
-    /// Relative threshold used when `min_pole_rad_s` is absent.
-    pub margin: f64,
-}
-
-impl Analysis for YieldAnalysis {
-    fn name(&self) -> &'static str {
-        AnalysisKind::Yield.name()
-    }
-
-    fn run(
-        &self,
-        engine: &EvalEngine,
-        full: &dyn TransferModel,
-        rom: &dyn TransferModel,
-    ) -> Result<AnalysisReport> {
-        // pmor-lint: allow(det-wallclock) reason="wall-clock here is measurement output (elapsed/speedup report metadata), never an input to numerics"
-        let start = Instant::now();
-        let np = full.num_params();
-        let threshold = match self.min_pole_rad_s {
-            Some(v) => v,
-            None => {
-                // Spec relative to this model's nominal bandwidth: pass
-                // while the dominant pole stays within `margin` of nominal.
-                let nominal = rom.dominant_poles(&vec![0.0; np], 1)?;
-                let Some(first) = nominal.first() else {
-                    return Err(invalid(
-                        "model has no finite poles to build a yield spec from",
-                    ));
-                };
-                self.margin * first.abs()
-            }
-        };
-        let points = sampler(np, self.instances, self.sigma, self.seed).sample_points();
-        let passes: Vec<bool> = engine.map(&points, |p, _ws| {
-            let poles = rom.dominant_poles(p, 1)?;
-            Ok(poles.first().is_some_and(|z| z.abs() >= threshold))
-        })?;
-        let n = passes.len();
-        let pass = passes.iter().filter(|&&b| b).count();
-        let y = pass as f64 / n.max(1) as f64;
-        let std_error = (y * (1.0 - y) / n.max(1) as f64).sqrt();
-        let mut report = AnalysisReport::new(self.name())
-            .metric("instances", n as f64)
-            .metric("yield_fraction", y)
-            .metric("yield_std_error", std_error)
-            .metric("threshold_rad_s", threshold);
-        report.lines.push(format!(
-            "yield {:.1}% ± {:.1}% over {n} instances (|λ₁| ≥ {threshold:.3e} rad/s)",
-            100.0 * y,
-            100.0 * std_error
-        ));
-        let secs = start.elapsed().as_secs_f64();
-        Ok(report.stamp(engine, full, rom, n, n, secs))
     }
 }
 
@@ -1155,6 +1122,24 @@ mod tests {
     }
 
     #[test]
+    fn montecarlo_transfer_metric_is_small() {
+        let sys = tree(30);
+        let analysis = MonteCarloAnalysis {
+            instances: 5,
+            sigma: 0.1,
+            seed: 0x3C0,
+            metric: ErrorMetric::Transfer {
+                freqs_hz: vec![1e7, 1e8, 1e9],
+            },
+        };
+        let report = analysis
+            .run(&EvalEngine::serial(), &FullModel::new(&sys), &rom_for(&sys))
+            .unwrap();
+        let worst = report.metric_value("worst_rel_transfer_err").unwrap();
+        assert!(worst < 0.01, "{worst}");
+    }
+
+    #[test]
     fn frequency_sweep_validates_parameter_count() {
         let sys = tree(20);
         let full = FullModel::new(&sys);
@@ -1270,5 +1255,116 @@ mod tests {
         let report = analysis.run(&EvalEngine::new(2), &full, &rom).unwrap();
         assert!(report.metric_value("yield_fraction").unwrap() > 0.9);
         assert!(report.metric_value("threshold_rad_s").unwrap() > 0.0);
+    }
+
+    /// Delegates to a real model but answers every transfer with NaN.
+    struct NanTransfer<'a>(&'a dyn TransferModel);
+
+    impl TransferModel for NanTransfer<'_> {
+        fn kind(&self) -> &'static str {
+            self.0.kind()
+        }
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn num_params(&self) -> usize {
+            self.0.num_params()
+        }
+        fn num_inputs(&self) -> usize {
+            self.0.num_inputs()
+        }
+        fn num_outputs(&self) -> usize {
+            self.0.num_outputs()
+        }
+        fn transfer(&self, p: &[f64], s: Complex64) -> Result<pmor_num::Matrix<Complex64>> {
+            Ok(self
+                .0
+                .transfer(p, s)?
+                .map(|_| Complex64::new(f64::NAN, 0.0)))
+        }
+        fn dominant_poles(&self, p: &[f64], count: usize) -> Result<Vec<Complex64>> {
+            self.0.dominant_poles(p, count)
+        }
+        fn transient(
+            &self,
+            p: &[f64],
+            stimuli: &[Stimulus],
+            opts: &TransientOptions,
+            ws: &mut pmor::EvalWorkspace,
+        ) -> Result<pmor::transient::TransientResult> {
+            self.0.transient(p, stimuli, opts, ws)
+        }
+    }
+
+    /// A small config every analysis the metric tests build accepts.
+    fn small_with(metric: ErrorMetric) -> AnalysisConfig {
+        AnalysisConfig {
+            instances: Some(2),
+            points: Some(3),
+            points_per_axis: Some(2),
+            metric: Some(metric),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn nan_transfer_values_are_errors_not_zero_error() {
+        let sys = tree(20);
+        let full = FullModel::new(&sys);
+        let rom = rom_for(&sys);
+        let cfg = small_with(ErrorMetric::Transfer {
+            freqs_hz: vec![1e8, 1e9],
+        });
+        for kind in [
+            AnalysisKind::MonteCarlo,
+            AnalysisKind::CornerSweep,
+            AnalysisKind::FrequencySweep,
+        ] {
+            let analysis = kind.build(&cfg).unwrap();
+            let (nan_full, nan_rom) = (NanTransfer(&full), NanTransfer(&rom));
+            let pairs: [(&dyn TransferModel, &dyn TransferModel, &str); 2] =
+                [(&full, &nan_rom, "rom"), (&nan_full, &rom, "full")];
+            for (f, r, bad) in pairs {
+                let result = analysis.run(&EvalEngine::new(2), f, r);
+                let Err(PmorError::Invalid(msg)) = result else {
+                    panic!("{}: NaN passed as {result:?}", kind.name());
+                };
+                assert!(msg.starts_with(&format!("{bad} model returned a non-finite")));
+                assert!(msg.contains("p = [") && msg.contains(" Hz"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_metrics_are_rejected_at_run() {
+        let sys = tree(20);
+        let full = FullModel::new(&sys);
+        let rom = rom_for(&sys);
+        let freq_lists = [
+            vec![],
+            vec![1e8, 0.0],
+            vec![-1e8],
+            vec![f64::NAN],
+            vec![f64::INFINITY],
+        ];
+        let metrics = freq_lists
+            .map(|freqs_hz| ErrorMetric::Transfer { freqs_hz })
+            .into_iter()
+            .chain([ErrorMetric::Poles { num_poles: 0 }]);
+        for metric in metrics {
+            // `build` leaves the metric alone, so this is `run`'s check.
+            for kind in [AnalysisKind::MonteCarlo, AnalysisKind::CornerSweep] {
+                let result = kind.build(&small_with(metric.clone())).unwrap().run(
+                    &EvalEngine::serial(),
+                    &full,
+                    &rom,
+                );
+                assert!(
+                    matches!(result, Err(PmorError::Invalid(_))),
+                    "{} accepted {metric:?}: {result:?}",
+                    kind.name()
+                );
+            }
+        }
     }
 }

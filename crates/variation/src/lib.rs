@@ -12,16 +12,17 @@
 //!
 //! * [`dist`] — parameter distributions (normal with 3σ truncation,
 //!   uniform),
-//! * [`montecarlo`] — the sampling engine and pole-error collection,
-//! * [`sweep`] — deterministic grid sweeps (the right-hand plots of the
-//!   paper's Figs 5–6),
+//! * [`montecarlo`] — the instance sampler and the per-instance
+//!   pole-error kernel,
+//! * [`sweep`] — deterministic spacing and grid helpers,
 //! * [`stats`] — summary statistics and histogram binning,
-//! * [`yield_analysis`] — pass/fail performance specs and Monte-Carlo
-//!   parametric yield estimation at reduced-model cost,
-//! * [`analysis`] — the **unified analysis interface**: the [`Analysis`]
-//!   trait run against two `TransferModel`s on a batched `EvalEngine`,
-//!   and the [`AnalysisKind`] registry (symmetric to `pmor`'s
-//!   `Reducer`/`ReducerKind`) front ends dispatch by name.
+//! * [`analysis`] — the **one analysis path**: the [`Analysis`] trait
+//!   run against two `TransferModel`s on a batched `EvalEngine`, and the
+//!   [`AnalysisKind`] registry (symmetric to `pmor`'s
+//!   `Reducer`/`ReducerKind`) front ends dispatch by name. Monte-Carlo,
+//!   corner-sweep (the right-hand plots of Figs 5–6) and yield error
+//!   computations live only here, with [`yield_analysis`] holding the
+//!   registry's `yield` entry.
 
 pub mod analysis;
 pub mod dist;

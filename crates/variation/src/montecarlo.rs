@@ -6,29 +6,31 @@
 //! instance, and collect the relative errors ("the error distribution in
 //! these poles across all the instances is plotted in Fig. 5").
 //!
-//! The sampler is written against the unified [`Reducer`] trait: hand it
-//! a system and *any* registered reduction method and it reduces once
-//! (with a shared [`ReductionContext`]) before sampling. Instance
-//! evaluation is embarrassingly parallel and runs on the batched
-//! [`EvalEngine`] — deterministic, because the sample points are
-//! pre-drawn by [`MonteCarlo::sample_points`] and the engine stitches
-//! results back in sample order regardless of thread count. (For the
-//! registry-dispatched form every front end shares, see
-//! [`crate::analysis::MonteCarloAnalysis`].)
+//! Both models are consumed as [`TransferModel`]s, so the ROM is reduced
+//! once up front and analyzed many times. Instance evaluation is
+//! embarrassingly parallel and runs on the batched [`EvalEngine`] —
+//! deterministic, because the sample points are pre-drawn by
+//! [`MonteCarlo::sample_points`] and the engine stitches results back in
+//! sample order regardless of thread count. The registry-dispatched form
+//! every front end shares, [`crate::analysis::MonteCarloAnalysis`], runs
+//! on this same sampler and pole kernel.
 //!
 //! # Example
 //!
 //! ```
+//! use pmor::eval::FullModel;
 //! use pmor::lowrank::LowRankPmor;
+//! use pmor::Reducer;
 //! use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
 //! use pmor_variation::MonteCarlo;
 //!
 //! # fn main() -> Result<(), pmor::PmorError> {
 //! let sys = clock_tree(&ClockTreeConfig { num_nodes: 30, ..Default::default() })
 //!     .assemble();
+//! let rom = LowRankPmor::with_defaults().reduce_once(&sys)?;
 //! // The paper's ±30% (3σ) metal-width protocol over all 3 parameters.
 //! let mc = MonteCarlo::paper_protocol(sys.num_params(), 5);
-//! let report = mc.pole_errors(&sys, &LowRankPmor::with_defaults(), 2)?;
+//! let report = mc.pole_errors(&mc.engine(), &FullModel::new(&sys), &rom, 2)?;
 //! assert_eq!(report.errors_percent.len(), 5 * 2); // instances × poles
 //! assert!(report.max_percent() < 1.0); // sub-percent dominant-pole error
 //! # Ok(())
@@ -37,10 +39,8 @@
 
 use crate::dist::ParameterDistribution;
 use crate::stats::{histogram, Bin, Summary};
-use pmor::eval::{pole_errors, FullModel};
-use pmor::{EvalEngine, ParametricRom, Reducer, ReductionContext, Result};
-use pmor_circuits::ParametricSystem;
-use pmor_num::Complex64;
+use pmor::eval::pole_errors;
+use pmor::{EvalEngine, Result, TransferModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -93,143 +93,52 @@ impl MonteCarlo {
         self.engine().worker_count(self.instances)
     }
 
-    /// Reduces `sys` with `reducer` (in a fresh private context) and
-    /// compares the `num_poles` most dominant poles of the full and
-    /// reduced models at every instance. To share factorizations with
-    /// other pipeline stages, use [`MonteCarlo::pole_errors_in`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the reduction fails, a sampled instance is singular or
-    /// an eigensolve stalls.
-    pub fn pole_errors(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        num_poles: usize,
-    ) -> Result<PoleErrorReport> {
-        self.pole_errors_in(sys, reducer, num_poles, &mut ReductionContext::new())
-    }
-
-    /// [`MonteCarlo::pole_errors`] drawing the reduction's factorizations
-    /// from the caller's shared context, so the one-time `G0`
-    /// factorization spans the whole pipeline.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarlo::pole_errors`].
-    pub fn pole_errors_in(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        num_poles: usize,
-        ctx: &mut ReductionContext,
-    ) -> Result<PoleErrorReport> {
-        let rom = reducer.reduce(sys, ctx)?;
-        self.pole_errors_with_rom(sys, &rom, num_poles)
-    }
-
-    /// [`MonteCarlo::pole_errors`] against an already-reduced model.
+    /// Compares the `num_poles` most dominant poles of the full and
+    /// reduced models at every sampled instance, evaluated on `engine`.
     ///
     /// # Errors
     ///
     /// Fails when a sampled instance is singular or an eigensolve stalls.
-    pub fn pole_errors_with_rom(
+    pub fn pole_errors(
         &self,
-        sys: &ParametricSystem,
-        rom: &ParametricRom,
+        engine: &EvalEngine,
+        full: &dyn TransferModel,
+        rom: &dyn TransferModel,
         num_poles: usize,
     ) -> Result<PoleErrorReport> {
-        let full = FullModel::new(sys);
         let points = self.sample_points();
-        let per_instance: Vec<(Vec<f64>, f64)> = self.engine().map(&points, |p, _ws| {
-            let reference = full.dominant_poles(p, num_poles)?;
-            // Give the matcher a deeper candidate list than the reference so
-            // near-degenerate reference poles both find their partner.
-            let candidate = rom.dominant_poles(p, 2 * num_poles + 4)?;
-            let errs = pole_errors(&reference, &candidate);
-            let mut inst_max = 0.0f64;
-            let mut percents = Vec::with_capacity(errs.len());
-            for e in errs {
-                percents.push(100.0 * e);
-                inst_max = inst_max.max(100.0 * e);
-            }
-            Ok((percents, inst_max))
+        let per_instance = engine.map(&points, |p, _ws| {
+            instance_pole_errors(full, rom, p, num_poles)
         })?;
-        let mut errors_percent = Vec::with_capacity(self.instances * num_poles);
-        let mut per_instance_max = Vec::with_capacity(self.instances);
-        for (percents, inst_max) in per_instance {
-            errors_percent.extend(percents);
-            per_instance_max.push(inst_max);
-        }
+        let per_instance_max = per_instance
+            .iter()
+            .map(|percents| percents.iter().copied().fold(0.0, f64::max))
+            .collect();
         Ok(PoleErrorReport {
-            errors_percent,
+            errors_percent: per_instance.into_iter().flatten().collect(),
             per_instance_max,
             num_poles,
         })
     }
+}
 
-    /// Reduces `sys` with `reducer` (fresh private context; see
-    /// [`MonteCarlo::transfer_errors_in`] to share one) and reports the
-    /// worst-case transfer-function error over instances at a fixed set
-    /// of frequencies: `max_f |H_full − H_rom| / |H_full|` per instance.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the reduction fails or an instance is singular at one
-    /// of the frequencies.
-    pub fn transfer_errors(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        freqs_hz: &[f64],
-    ) -> Result<Vec<f64>> {
-        self.transfer_errors_in(sys, reducer, freqs_hz, &mut ReductionContext::new())
-    }
-
-    /// [`MonteCarlo::transfer_errors`] drawing the reduction's
-    /// factorizations from the caller's shared context.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarlo::transfer_errors`].
-    pub fn transfer_errors_in(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        freqs_hz: &[f64],
-        ctx: &mut ReductionContext,
-    ) -> Result<Vec<f64>> {
-        let rom = reducer.reduce(sys, ctx)?;
-        self.transfer_errors_with_rom(sys, &rom, freqs_hz)
-    }
-
-    /// [`MonteCarlo::transfer_errors`] against an already-reduced model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an instance is singular at one of the frequencies.
-    pub fn transfer_errors_with_rom(
-        &self,
-        sys: &ParametricSystem,
-        rom: &ParametricRom,
-        freqs_hz: &[f64],
-    ) -> Result<Vec<f64>> {
-        let full = FullModel::new(sys);
-        let points = self.sample_points();
-        self.engine().map(&points, |p, ws| {
-            let mut worst = 0.0f64;
-            for &f in freqs_hz {
-                let s = Complex64::jw(2.0 * std::f64::consts::PI * f);
-                let hf = full.transfer_with(p, s, ws)?;
-                let hr = rom.transfer_with(p, s, ws)?;
-                let denom = hf.max_abs().max(1e-300);
-                let num = hf.sub_mat(&hr).max_abs();
-                worst = worst.max(num / denom);
-            }
-            Ok(worst)
-        })
-    }
+/// Relative errors, in percent, of the `num_poles` most dominant full-model
+/// poles at `p` against their nearest reduced-model partners — the one
+/// per-instance pole kernel every analysis shares.
+pub(crate) fn instance_pole_errors(
+    full: &dyn TransferModel,
+    rom: &dyn TransferModel,
+    p: &[f64],
+    num_poles: usize,
+) -> Result<Vec<f64>> {
+    let reference = full.dominant_poles(p, num_poles)?;
+    // Give the matcher a deeper candidate list than the reference so
+    // near-degenerate reference poles both find their partner.
+    let candidate = rom.dominant_poles(p, 2 * num_poles + 4)?;
+    Ok(pole_errors(&reference, &candidate)
+        .into_iter()
+        .map(|e| 100.0 * e)
+        .collect())
 }
 
 /// Collected pole-error data (all values in **percent**).
@@ -264,8 +173,11 @@ impl PoleErrorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmor::eval::FullModel;
     use pmor::lowrank::{LowRankOptions, LowRankPmor};
+    use pmor::Reducer;
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
+    use pmor_circuits::ParametricSystem;
 
     fn tree(n: usize) -> ParametricSystem {
         clock_tree(&ClockTreeConfig {
@@ -291,14 +203,18 @@ mod tests {
     #[test]
     fn lowrank_rom_pole_errors_are_small() {
         let sys = tree(40);
-        let reducer = LowRankPmor::new(LowRankOptions {
+        let rom = LowRankPmor::new(LowRankOptions {
             s_order: 8,
             param_order: 3,
             rank: 2,
             ..Default::default()
-        });
+        })
+        .reduce_once(&sys)
+        .unwrap();
         let mc = MonteCarlo::paper_protocol(3, 10);
-        let report = mc.pole_errors(&sys, &reducer, 5).unwrap();
+        let report = mc
+            .pole_errors(&mc.engine(), &FullModel::new(&sys), &rom, 5)
+            .unwrap();
         assert_eq!(report.errors_percent.len(), 50);
         assert_eq!(report.per_instance_max.len(), 10);
         // The paper reports sub-percent dominant-pole errors.
@@ -312,32 +228,17 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let sys = tree(30);
+        let full = FullModel::new(&sys);
         let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
-        let mut mc = MonteCarlo::paper_protocol(3, 9);
-        mc.threads = 1;
-        let serial = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
-        mc.threads = 4;
-        let parallel = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
+        let mc = MonteCarlo::paper_protocol(3, 9);
+        let serial = mc.pole_errors(&EvalEngine::new(1), &full, &rom, 3).unwrap();
+        let parallel = mc.pole_errors(&EvalEngine::new(4), &full, &rom, 3).unwrap();
         assert_eq!(serial, parallel);
         // More workers than instances is fine too.
-        mc.threads = 64;
-        let oversubscribed = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
-        assert_eq!(serial, oversubscribed);
-    }
-
-    #[test]
-    fn engines_share_one_factorization_through_a_context() {
-        // The `_in` entry points let a whole analysis pipeline ride on one
-        // nominal G0 factorization.
-        let sys = tree(30);
-        let reducer = LowRankPmor::with_defaults();
-        let mut ctx = ReductionContext::new();
-        let mc = MonteCarlo::paper_protocol(3, 3);
-        mc.pole_errors_in(&sys, &reducer, 2, &mut ctx).unwrap();
-        mc.transfer_errors_in(&sys, &reducer, &[1e8], &mut ctx)
+        let oversubscribed = mc
+            .pole_errors(&EvalEngine::new(64), &full, &rom, 3)
             .unwrap();
-        assert_eq!(ctx.real_factorizations(), 1);
-        assert!(ctx.cache_hits() >= 1, "hits: {}", ctx.cache_hits());
+        assert_eq!(serial, oversubscribed);
     }
 
     #[test]
@@ -345,21 +246,11 @@ mod tests {
         let sys = tree(30);
         let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
         let mc = MonteCarlo::paper_protocol(3, 8);
-        let report = mc.pole_errors_with_rom(&sys, &rom, 3).unwrap();
+        let report = mc
+            .pole_errors(&mc.engine(), &FullModel::new(&sys), &rom, 3)
+            .unwrap();
         let bins = report.histogram(10);
         let total: usize = bins.iter().map(|b| b.count).sum();
         assert_eq!(total, report.errors_percent.len());
-    }
-
-    #[test]
-    fn transfer_errors_bounded() {
-        let sys = tree(30);
-        let reducer = LowRankPmor::with_defaults();
-        let mc = MonteCarlo::paper_protocol(3, 5);
-        let errs = mc
-            .transfer_errors(&sys, &reducer, &[1e7, 1e8, 1e9])
-            .unwrap();
-        assert_eq!(errs.len(), 5);
-        assert!(errs.iter().all(|&e| e < 0.01), "{errs:?}");
     }
 }

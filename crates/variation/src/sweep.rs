@@ -1,32 +1,20 @@
-//! Deterministic parameter-grid sweeps.
+//! Deterministic sweep grids.
 //!
 //! The right-hand plots of the paper's Figs 5–6 show "the error in the most
 //! dominant pole as a function of M5 and M6 metal line widths (within -30%
 //! to 30% of their nominal values)" — a 2-D grid sweep with the remaining
-//! parameters pinned.
+//! parameters pinned. [`crate::analysis::CornerSweepAnalysis`] runs that
+//! grid; this module holds the spacing helpers it and the frequency sweeps
+//! share.
 //!
 //! # Example
 //!
 //! ```
-//! use pmor::lowrank::LowRankPmor;
-//! use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
-//! use pmor_variation::sweep::Sweep2d;
+//! use pmor_variation::sweep::{linspace, logspace};
 //!
-//! # fn main() -> Result<(), pmor::PmorError> {
-//! let sys = clock_tree(&ClockTreeConfig { num_nodes: 30, ..Default::default() })
-//!     .assemble();
-//! // M5 × M6 over ±30%, 3 points per axis, M7 pinned at nominal.
-//! let sweep = Sweep2d::paper_m5_m6(3);
-//! let grid = sweep.dominant_pole_error_grid(&sys, &LowRankPmor::with_defaults())?;
-//! assert_eq!((grid.len(), grid[0].len()), (3, 3));
-//! assert!(grid.iter().flatten().all(|&err_percent| err_percent < 1.0));
-//! # Ok(())
-//! # }
+//! assert_eq!(linspace(0.0, 1.0, 3), vec![0.0, 0.5, 1.0]);
+//! assert_eq!(logspace(1e7, 1e10, 4)[0], 1e7);
 //! ```
-
-use pmor::eval::{pole_errors, FullModel};
-use pmor::{EvalEngine, ParametricRom, Reducer, ReductionContext, Result};
-use pmor_circuits::ParametricSystem;
 
 /// Logarithmically spaced values over `[lo, hi]`, inclusive (`lo > 0`).
 ///
@@ -60,113 +48,34 @@ pub fn linspace(lo: f64, hi: f64, count: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A 2-D sweep over two selected parameters with the rest held at `base`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sweep2d {
-    /// Index of the first swept parameter (rows of the result).
-    pub param_a: usize,
-    /// Index of the second swept parameter (columns of the result).
-    pub param_b: usize,
-    /// Values taken by parameter `a`.
-    pub values_a: Vec<f64>,
-    /// Values taken by parameter `b`.
-    pub values_b: Vec<f64>,
-    /// Baseline values for all parameters (swept entries are overwritten).
-    pub base: Vec<f64>,
-}
-
-impl Sweep2d {
-    /// The paper's Fig 5/6 sweep: M5 × M6 over ±30 %, `count` points per
-    /// axis, M7 nominal.
-    pub fn paper_m5_m6(count: usize) -> Self {
-        Sweep2d {
-            param_a: 0, // M5
-            param_b: 1, // M6
-            values_a: linspace(-0.3, 0.3, count),
-            values_b: linspace(-0.3, 0.3, count),
-            base: vec![0.0; 3],
+/// Every point of the `values × values` grid over parameters `param_a`
+/// (rows) and `param_b` (columns), row-major, with the other parameters
+/// held at `base`.
+pub(crate) fn grid_points(
+    base: &[f64],
+    param_a: usize,
+    param_b: usize,
+    values: &[f64],
+) -> Vec<Vec<f64>> {
+    let mut out = Vec::with_capacity(values.len() * values.len());
+    for &va in values {
+        for &vb in values {
+            let mut p = base.to_vec();
+            p[param_a] = va;
+            p[param_b] = vb;
+            out.push(p);
         }
     }
-
-    /// All grid points in row-major order with their `(ia, ib)` indices.
-    pub fn points(&self) -> Vec<(usize, usize, Vec<f64>)> {
-        let mut out = Vec::with_capacity(self.values_a.len() * self.values_b.len());
-        for (ia, &va) in self.values_a.iter().enumerate() {
-            for (ib, &vb) in self.values_b.iter().enumerate() {
-                let mut p = self.base.clone();
-                p[self.param_a] = va;
-                p[self.param_b] = vb;
-                out.push((ia, ib, p));
-            }
-        }
-        out
-    }
-
-    /// Reduces `sys` with `reducer` and maps the relative error (in
-    /// percent) of the most dominant pole against the full model over the
-    /// grid: `result[ia][ib]`.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the reduction fails, an instance is singular or an
-    /// eigensolve stalls.
-    pub fn dominant_pole_error_grid(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-    ) -> Result<Vec<Vec<f64>>> {
-        self.dominant_pole_error_grid_in(sys, reducer, &mut ReductionContext::new())
-    }
-
-    /// [`Sweep2d::dominant_pole_error_grid`] drawing the reduction's
-    /// factorizations from the caller's shared context.
-    ///
-    /// # Errors
-    ///
-    /// See [`Sweep2d::dominant_pole_error_grid`].
-    pub fn dominant_pole_error_grid_in(
-        &self,
-        sys: &ParametricSystem,
-        reducer: &dyn Reducer,
-        ctx: &mut ReductionContext,
-    ) -> Result<Vec<Vec<f64>>> {
-        let rom = reducer.reduce(sys, ctx)?;
-        self.dominant_pole_error_grid_with_rom(sys, &rom)
-    }
-
-    /// [`Sweep2d::dominant_pole_error_grid`] against an already-reduced
-    /// model.
-    ///
-    /// # Errors
-    ///
-    /// Fails when an instance is singular or an eigensolve stalls.
-    pub fn dominant_pole_error_grid_with_rom(
-        &self,
-        sys: &ParametricSystem,
-        rom: &ParametricRom,
-    ) -> Result<Vec<Vec<f64>>> {
-        // Grid corners are independent: run them through the shared
-        // batched engine (deterministic stitching, so any thread count
-        // yields the identical grid).
-        let full = FullModel::new(sys);
-        let points = self.points();
-        let errs = EvalEngine::default().map(&points, |(_, _, p), _ws| {
-            let reference = full.dominant_poles(p, 1)?;
-            let candidate = rom.dominant_poles(p, 6)?;
-            Ok(100.0 * pole_errors(&reference, &candidate)[0])
-        })?;
-        let mut grid = vec![vec![0.0; self.values_b.len()]; self.values_a.len()];
-        for ((ia, ib, _), err) in points.iter().zip(&errs) {
-            grid[*ia][*ib] = *err;
-        }
-        Ok(grid)
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{Analysis, CornerSweepAnalysis, ErrorMetric};
+    use pmor::eval::FullModel;
     use pmor::lowrank::LowRankPmor;
+    use pmor::{EvalEngine, Reducer};
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
 
     #[test]
@@ -182,19 +91,14 @@ mod tests {
 
     #[test]
     fn points_cover_grid_and_pin_base() {
-        let sweep = Sweep2d {
-            param_a: 0,
-            param_b: 2,
-            values_a: vec![-0.1, 0.1],
-            values_b: vec![0.0, 0.2],
-            base: vec![9.0, 7.0, 9.0],
-        };
-        let pts = sweep.points();
+        let pts = grid_points(&[9.0, 7.0, 9.0], 0, 2, &[-0.1, 0.2]);
         assert_eq!(pts.len(), 4);
-        for (_, _, p) in &pts {
+        for p in &pts {
             assert_eq!(p[1], 7.0); // untouched parameter keeps base value
         }
-        assert!(pts.iter().any(|(_, _, p)| p[0] == -0.1 && p[2] == 0.2));
+        // Row-major: the second parameter varies fastest.
+        assert_eq!(pts[1], vec![-0.1, 7.0, 0.2]);
+        assert!(pts.iter().any(|p| p[0] == 0.2 && p[2] == -0.1));
     }
 
     #[test]
@@ -204,12 +108,21 @@ mod tests {
             ..Default::default()
         })
         .assemble();
-        let sweep = Sweep2d::paper_m5_m6(3);
-        let grid = sweep
-            .dominant_pole_error_grid(&sys, &LowRankPmor::with_defaults())
+        let rom = LowRankPmor::with_defaults().reduce_once(&sys).unwrap();
+        let sweep = CornerSweepAnalysis {
+            param_a: 0,
+            param_b: 1,
+            lo: -0.3,
+            hi: 0.3,
+            points_per_axis: 3,
+            metric: ErrorMetric::Poles { num_poles: 1 },
+        };
+        let report = sweep
+            .run(&EvalEngine::default(), &FullModel::new(&sys), &rom)
             .unwrap();
-        assert_eq!(grid.len(), 3);
-        for row in &grid {
+        let grid = report.grid.unwrap();
+        assert_eq!(grid.values.len(), 3);
+        for row in &grid.values {
             assert_eq!(row.len(), 3);
             for &err in row {
                 assert!(err < 1.0, "dominant pole error {err}% too large");

@@ -1,286 +1,185 @@
-//! Parametric yield estimation.
+//! Monte-Carlo parametric yield at reduced-model cost — the `yield`
+//! entry of the [`AnalysisKind`] registry.
 //!
-//! The business end of variability modeling: given a performance
-//! specification (e.g. "the net's dominant time constant must stay below
-//! τ_max" or "the 50 % delay must stay below d_max"), estimate the fraction
-//! of manufactured instances that pass — at reduced-model cost, which is
-//! what makes Monte-Carlo yield sweeps affordable in the first place.
+//! Given a bandwidth specification ("the dominant pole magnitude must stay
+//! above a floor"), estimate the fraction of manufactured instances that
+//! pass. Only the reduced model is evaluated per instance, which is what
+//! makes Monte-Carlo yield sweeps affordable in the first place.
 //!
 //! # Example
 //!
 //! ```
-//! use pmor::lowrank::LowRankPmor;
+//! use pmor::eval::FullModel;
+//! use pmor::{EvalEngine, Reducer};
 //! use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
-//! use pmor_variation::yield_analysis::{estimate_yield, Spec};
-//! use pmor_variation::MonteCarlo;
+//! use pmor_variation::analysis::Analysis;
+//! use pmor_variation::yield_analysis::YieldAnalysis;
 //!
 //! # fn main() -> Result<(), pmor::PmorError> {
-//! let sys = clock_tree(&ClockTreeConfig { num_nodes: 30, ..Default::default() })
-//!     .assemble();
-//! let mc = MonteCarlo::paper_protocol(sys.num_params(), 25);
+//! let sys = clock_tree(&ClockTreeConfig { num_nodes: 30, ..Default::default() }).assemble();
+//! let rom = pmor::reducer_by_name("lowrank", &sys).unwrap().reduce_once(&sys)?;
 //! // Bandwidth floor so loose that every ±30% instance passes.
-//! let spec = Spec::MinDominantPole { min_rad_s: 1.0 };
-//! let est = estimate_yield(&sys, &LowRankPmor::with_defaults(), &mc, &spec)?;
-//! assert_eq!(est.yield_fraction, 1.0);
-//! assert_eq!(est.instances, 25);
+//! let analysis = YieldAnalysis {
+//!     instances: 25,
+//!     sigma: 0.1,
+//!     seed: 0x3C0,
+//!     min_pole_rad_s: Some(1.0),
+//!     margin: 0.5,
+//! };
+//! let report = analysis.run(&EvalEngine::serial(), &FullModel::new(&sys), &rom)?;
+//! assert_eq!(report.metric_value("yield_fraction"), Some(1.0));
+//! assert_eq!(report.metric_value("instances"), Some(25.0));
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::montecarlo::MonteCarlo;
-use pmor::transient::{simulate_rom, Stimulus, TransientOptions};
-use pmor::{ParametricRom, Reducer, ReductionContext, Result};
-use pmor_circuits::ParametricSystem;
+use crate::analysis::{invalid, sampler, Analysis, AnalysisKind, AnalysisReport};
+use pmor::{EvalEngine, Result, TransferModel};
+use std::time::Instant; // pmor-lint: allow(det-wallclock) reason="wall-clock here is measurement output (elapsed/speedup report metadata), never an input to numerics"
 
-/// A pass/fail performance specification evaluated on a reduced model at
-/// one parameter point.
-pub enum Spec<'a> {
-    /// Dominant pole magnitude must be at least `min_rad_s` (bandwidth
-    /// floor): `|λ₁| ≥ min_rad_s`.
-    MinDominantPole {
-        /// Required minimum pole magnitude, rad/s.
-        min_rad_s: f64,
-    },
-    /// 50 % step-response delay of output `output` must not exceed
-    /// `max_seconds` under the given stimulus set.
-    MaxDelay {
-        /// Output index measured.
-        output: usize,
-        /// Delay budget, s.
-        max_seconds: f64,
-        /// Stimulus per input.
-        stimuli: &'a [Stimulus],
-        /// Integration options.
-        options: &'a TransientOptions,
-    },
-    /// Custom predicate (`Sync`, so yield runs can evaluate it from the
-    /// engine's worker threads).
-    Custom(&'a (dyn Fn(&ParametricRom, &[f64]) -> Result<bool> + Sync)),
-}
-
-impl Spec<'_> {
-    /// Evaluates the spec at one parameter point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures (singular instance, eigensolver
-    /// stall).
-    pub fn passes(&self, rom: &ParametricRom, p: &[f64]) -> Result<bool> {
-        match self {
-            Spec::MinDominantPole { min_rad_s } => {
-                let poles = rom.dominant_poles(p, 1)?;
-                Ok(poles.first().is_some_and(|z| z.abs() >= *min_rad_s))
-            }
-            Spec::MaxDelay {
-                output,
-                max_seconds,
-                stimuli,
-                options,
-            } => {
-                let res = simulate_rom(rom, p, stimuli, options)?;
-                Ok(res.delay_50(*output).is_some_and(|d| d <= *max_seconds))
-            }
-            Spec::Custom(f) => f(rom, p),
-        }
-    }
-}
-
-/// Result of a yield run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct YieldEstimate {
-    /// Passing fraction in `[0, 1]`.
-    pub yield_fraction: f64,
-    /// Number of instances evaluated.
+/// Monte-Carlo parametric yield at reduced-model cost: the fraction of
+/// sampled instances whose dominant pole magnitude stays above a
+/// bandwidth floor (absolute, or relative to the reduced model's nominal
+/// bandwidth).
+#[derive(Debug, Clone, PartialEq)]
+pub struct YieldAnalysis {
+    /// Number of sampled instances.
     pub instances: usize,
-    /// Standard error of the estimate (binomial).
-    pub std_error: f64,
+    /// Per-parameter sigma of the ±3σ-truncated normal.
+    pub sigma: f64,
+    /// RNG seed.
+    pub seed: u64,
+    /// Absolute pass threshold, rad/s. `None` = `margin` × nominal.
+    pub min_pole_rad_s: Option<f64>,
+    /// Relative threshold used when `min_pole_rad_s` is absent.
+    pub margin: f64,
 }
 
-/// Reduces `sys` with `reducer` and estimates the yield of `spec` over
-/// the Monte-Carlo distribution at reduced-model cost.
-///
-/// # Errors
-///
-/// Propagates reduction and per-instance evaluation failures.
-pub fn estimate_yield(
-    sys: &ParametricSystem,
-    reducer: &dyn Reducer,
-    mc: &MonteCarlo,
-    spec: &Spec<'_>,
-) -> Result<YieldEstimate> {
-    estimate_yield_in(sys, reducer, mc, spec, &mut ReductionContext::new())
-}
+impl Analysis for YieldAnalysis {
+    fn name(&self) -> &'static str {
+        AnalysisKind::Yield.name()
+    }
 
-/// [`estimate_yield`] drawing the reduction's factorizations from the
-/// caller's shared context.
-///
-/// # Errors
-///
-/// See [`estimate_yield`].
-pub fn estimate_yield_in(
-    sys: &ParametricSystem,
-    reducer: &dyn Reducer,
-    mc: &MonteCarlo,
-    spec: &Spec<'_>,
-    ctx: &mut ReductionContext,
-) -> Result<YieldEstimate> {
-    let rom = reducer.reduce(sys, ctx)?;
-    estimate_yield_with_rom(&rom, mc, spec)
-}
-
-/// [`estimate_yield`] against an already-reduced model.
-///
-/// # Errors
-///
-/// Propagates per-instance evaluation failures.
-pub fn estimate_yield_with_rom(
-    rom: &ParametricRom,
-    mc: &MonteCarlo,
-    spec: &Spec<'_>,
-) -> Result<YieldEstimate> {
-    // Instances are independent: evaluate them on the shared batched
-    // engine (pass counts are order-independent, so any thread count
-    // yields the identical estimate).
-    let points = mc.sample_points();
-    let passes = mc.engine().map(&points, |p, _ws| spec.passes(rom, p))?;
-    let pass = passes.iter().filter(|&&b| b).count();
-    let n = points.len();
-    let y = pass as f64 / n.max(1) as f64;
-    let std_error = (y * (1.0 - y) / n.max(1) as f64).sqrt();
-    Ok(YieldEstimate {
-        yield_fraction: y,
-        instances: n,
-        std_error,
-    })
+    fn run(
+        &self,
+        engine: &EvalEngine,
+        full: &dyn TransferModel,
+        rom: &dyn TransferModel,
+    ) -> Result<AnalysisReport> {
+        // pmor-lint: allow(det-wallclock) reason="wall-clock here is measurement output (elapsed/speedup report metadata), never an input to numerics"
+        let start = Instant::now();
+        let np = full.num_params();
+        let threshold = match self.min_pole_rad_s {
+            Some(v) => v,
+            None => {
+                // Spec relative to this model's nominal bandwidth: pass
+                // while the dominant pole stays within `margin` of nominal.
+                let nominal = rom.dominant_poles(&vec![0.0; np], 1)?;
+                let Some(first) = nominal.first() else {
+                    return Err(invalid(
+                        "model has no finite poles to build a yield spec from",
+                    ));
+                };
+                self.margin * first.abs()
+            }
+        };
+        let points = sampler(np, self.instances, self.sigma, self.seed).sample_points();
+        let passes: Vec<bool> = engine.map(&points, |p, _ws| {
+            let poles = rom.dominant_poles(p, 1)?;
+            Ok(poles.first().is_some_and(|z| z.abs() >= threshold))
+        })?;
+        let n = passes.len();
+        let pass = passes.iter().filter(|&&b| b).count();
+        let y = pass as f64 / n.max(1) as f64;
+        let std_error = (y * (1.0 - y) / n.max(1) as f64).sqrt();
+        let mut report = AnalysisReport::new(self.name())
+            .metric("instances", n as f64)
+            .metric("yield_fraction", y)
+            .metric("yield_std_error", std_error)
+            .metric("threshold_rad_s", threshold);
+        report.lines.push(format!(
+            "yield {:.1}% ± {:.1}% over {n} instances (|λ₁| ≥ {threshold:.3e} rad/s)",
+            100.0 * y,
+            100.0 * std_error
+        ));
+        let secs = start.elapsed().as_secs_f64();
+        Ok(report.stamp(engine, full, rom, n, n, secs))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::ParameterDistribution;
+    use pmor::eval::FullModel;
     use pmor::lowrank::{LowRankOptions, LowRankPmor};
-    use pmor::Reducer;
+    use pmor::{ParametricRom, Reducer};
     use pmor_circuits::generators::{clock_tree, ClockTreeConfig};
+    use pmor_circuits::ParametricSystem;
 
-    fn rom() -> ParametricRom {
-        let sys = clock_tree(&ClockTreeConfig {
+    fn tree() -> ParametricSystem {
+        clock_tree(&ClockTreeConfig {
             num_nodes: 40,
             ..Default::default()
         })
-        .assemble();
+        .assemble()
+    }
+
+    fn rom(sys: &ParametricSystem) -> ParametricRom {
         LowRankPmor::new(LowRankOptions {
             s_order: 5,
             param_order: 2,
             rank: 2,
             ..Default::default()
         })
-        .reduce_once(&sys)
+        .reduce_once(sys)
         .unwrap()
     }
 
-    fn mc(instances: usize) -> MonteCarlo {
-        MonteCarlo::paper_protocol(3, instances)
+    /// The paper's protocol (±30 % 3σ metal widths) against an absolute
+    /// bandwidth floor; returns `(yield, std error, instances)`.
+    fn estimate(
+        sys: &ParametricSystem,
+        rom: &ParametricRom,
+        instances: usize,
+        min: f64,
+    ) -> (f64, f64, f64) {
+        let report = YieldAnalysis {
+            instances,
+            sigma: 0.1,
+            seed: 0x3C0,
+            min_pole_rad_s: Some(min),
+            margin: 0.5,
+        }
+        .run(&EvalEngine::new(2), &FullModel::new(sys), rom)
+        .unwrap();
+        let m = |name| report.metric_value(name).unwrap();
+        (m("yield_fraction"), m("yield_std_error"), m("instances"))
     }
 
     #[test]
     fn trivially_loose_spec_yields_one() {
-        let rom = rom();
-        let est = estimate_yield_with_rom(&rom, &mc(30), &Spec::MinDominantPole { min_rad_s: 1.0 })
-            .unwrap();
-        assert_eq!(est.yield_fraction, 1.0);
-        assert_eq!(est.instances, 30);
-        assert_eq!(est.std_error, 0.0);
-    }
-
-    #[test]
-    fn dyn_reducer_entry_reduces_then_estimates() {
-        // The registry-facing entry point: any `&dyn Reducer` works.
-        let sys = clock_tree(&ClockTreeConfig {
-            num_nodes: 40,
-            ..Default::default()
-        })
-        .assemble();
-        let reducer = pmor::reducer_by_name("lowrank", &sys).unwrap();
-        let est = estimate_yield(
-            &sys,
-            reducer.as_ref(),
-            &mc(20),
-            &Spec::MinDominantPole { min_rad_s: 1.0 },
-        )
-        .unwrap();
-        assert_eq!(est.yield_fraction, 1.0);
-        assert_eq!(est.instances, 20);
+        let sys = tree();
+        let rom = rom(&sys);
+        assert_eq!(estimate(&sys, &rom, 30, 1.0), (1.0, 0.0, 30.0));
     }
 
     #[test]
     fn impossible_spec_yields_zero() {
-        let rom = rom();
-        let est =
-            estimate_yield_with_rom(&rom, &mc(30), &Spec::MinDominantPole { min_rad_s: 1e30 })
-                .unwrap();
-        assert_eq!(est.yield_fraction, 0.0);
+        let sys = tree();
+        let rom = rom(&sys);
+        assert_eq!(estimate(&sys, &rom, 30, 1e30), (0.0, 0.0, 30.0));
     }
 
     #[test]
     fn marginal_spec_yields_strictly_between() {
         // Put the threshold at the nominal dominant-pole magnitude: roughly
         // half the instances should pass.
-        let rom = rom();
+        let sys = tree();
+        let rom = rom(&sys);
         let nominal = rom.dominant_poles(&[0.0; 3], 1).unwrap()[0].abs();
-        let est = estimate_yield_with_rom(
-            &rom,
-            &mc(120),
-            &Spec::MinDominantPole { min_rad_s: nominal },
-        )
-        .unwrap();
-        assert!(
-            est.yield_fraction > 0.15 && est.yield_fraction < 0.85,
-            "yield {} not marginal",
-            est.yield_fraction
-        );
-        assert!(est.std_error > 0.0);
-    }
-
-    #[test]
-    fn delay_spec_evaluates_transient() {
-        let rom = rom();
-        let stimuli = vec![Stimulus::Step {
-            t0: 0.0,
-            amplitude: 1.0,
-        }];
-        let options = TransientOptions::trapezoidal(3e-9, 200);
-        // Generous delay budget ⇒ everything passes.
-        let est = estimate_yield_with_rom(
-            &rom,
-            &mc(10),
-            &Spec::MaxDelay {
-                output: 0,
-                max_seconds: 1e-3,
-                stimuli: &stimuli,
-                options: &options,
-            },
-        )
-        .unwrap();
-        assert_eq!(est.yield_fraction, 1.0);
-    }
-
-    #[test]
-    fn custom_spec_and_distributions() {
-        let rom = rom();
-        let mc = MonteCarlo {
-            distributions: vec![
-                ParameterDistribution::Uniform { lo: -0.1, hi: 0.1 },
-                ParameterDistribution::Fixed(0.0),
-                ParameterDistribution::Fixed(0.0),
-            ],
-            instances: 25,
-            seed: 9,
-            threads: 0,
-        };
-        // Custom spec: parameter 0 must be nonnegative — independent of the
-        // model, with known analytic yield ≈ 0.5.
-        let spec = Spec::Custom(&|_rom, p| Ok(p[0] >= 0.0));
-        let est = estimate_yield_with_rom(&rom, &mc, &spec).unwrap();
-        assert!(est.yield_fraction > 0.2 && est.yield_fraction < 0.8);
+        let (y, std_error, instances) = estimate(&sys, &rom, 120, nominal);
+        assert!(y > 0.15 && y < 0.85, "yield {y} not marginal");
+        assert!(std_error > 0.0);
+        assert_eq!(instances, 120.0);
     }
 }

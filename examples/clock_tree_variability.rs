@@ -7,6 +7,7 @@
 //!
 //! Run: `cargo run --release -p pmor-bench --example clock_tree_variability`
 
+use pmor::eval::FullModel;
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
 use pmor::Reducer;
 use pmor_circuits::generators::rcnet_a;
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And how accurate is that, verified against the full model per
     // instance?
-    let report = mc.pole_errors_with_rom(&sys, &rom, 5)?;
+    let report = mc.pole_errors(&mc.engine(), &FullModel::new(&sys), &rom, 5)?;
     let es = report.summary();
     println!(
         "\nROM-vs-full error over 5 dominant poles x {} instances:",

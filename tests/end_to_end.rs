@@ -5,13 +5,15 @@ use pmor::eval::FullModel;
 use pmor::lowrank::{LowRankOptions, LowRankPmor};
 use pmor::multipoint::{MultiPointOptions, MultiPointPmor};
 use pmor::prima::{Prima, PrimaOptions};
-use pmor::{Reducer, ReducerKind, ReductionContext};
+use pmor::{EvalEngine, Reducer, ReducerKind, ReductionContext};
 use pmor_circuits::generators::{
-    clock_tree, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, RcMeshConfig, RcRandomConfig,
-    RlcBusConfig,
+    clock_tree, rc_mesh, rc_random, rcnet_a, rlc_bus, ClockTreeConfig, RcMeshConfig,
+    RcRandomConfig, RlcBusConfig,
 };
 use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
+use pmor_variation::analysis::CornerSweepAnalysis;
+use pmor_variation::{Analysis, ErrorMetric, MonteCarlo};
 
 fn workloads() -> Vec<(&'static str, ParametricSystem, Vec<f64>, f64)> {
     vec![
@@ -182,4 +184,43 @@ fn lowrank_reduces_the_mesh_that_stalled_the_jacobi_svd() {
         "q = {}: worst relative error {worst:e}",
         rom.size()
     );
+}
+
+/// The paper's Fig 5 shape (§5.3) on RCNetA with the figure's low-rank
+/// options: the Monte-Carlo dominant-pole errors and the M5 × M6 corner
+/// grid both stay negligible (under 0.2 %).
+#[test]
+fn fig5_rcnet_a_pole_errors_are_negligible() {
+    let sys = rcnet_a().assemble();
+    let rom = LowRankPmor::new(LowRankOptions {
+        s_order: 5,
+        param_order: 2,
+        rank: 2,
+        include_transpose_subspaces: true,
+        ..Default::default()
+    })
+    .reduce_once(&sys)
+    .unwrap();
+    let full = FullModel::new(&sys);
+    let engine = EvalEngine::default();
+    let mc = MonteCarlo::paper_protocol(sys.num_params(), 20);
+    let report = mc.pole_errors(&engine, &full, &rom, 5).unwrap();
+    assert_eq!(report.errors_percent.len(), 20 * 5);
+    let mc_max = report.max_percent();
+    let grid = CornerSweepAnalysis {
+        param_a: 0,
+        param_b: 1,
+        lo: -0.3,
+        hi: 0.3,
+        points_per_axis: 5,
+        metric: ErrorMetric::Poles { num_poles: 1 },
+    }
+    .run(&engine, &full, &rom)
+    .unwrap()
+    .grid
+    .unwrap();
+    assert_eq!(grid.values.len(), 5);
+    let grid_max = grid.values.iter().flatten().copied().fold(0.0f64, f64::max);
+    assert!(mc_max < 0.2, "Monte-Carlo max pole error {mc_max}%");
+    assert!(grid_max < 0.2, "corner-grid max pole error {grid_max}%");
 }
