@@ -7,7 +7,7 @@
 //! flat: one record per (method × workload) with wall-clock seconds and a
 //! free-form metric map.
 
-use std::io::Write;
+use pmor_json::{json_number, json_string, parse_json, Json};
 use std::path::PathBuf;
 
 /// One measured (method × workload) data point.
@@ -111,8 +111,7 @@ pub fn write_bench_json_in(
         out.push('\n');
     }
     out.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(out.as_bytes())?;
+    std::fs::write(&path, out)?;
     Ok(path)
 }
 
@@ -144,111 +143,71 @@ pub const ADAPTIVE_METRICS: [&str; 3] = ["estimated_error", "final_order", "expa
 
 /// Checks that `text` is a `BENCH_*.json` file produced by
 /// [`write_bench_json`] whose every record carries the required fields:
-/// a file-level `tag`, and per record `method`, `wall_seconds`, and the
-/// [`REQUIRED_METRICS`] (`median_seconds`, `dim`). This is a structural
-/// check of the writer's own line-per-record format, not a general JSON
-/// parser — exactly what the CI artifact gate needs.
+/// a file-level string `tag`, and per record string `method` and
+/// `workload`, a `wall_seconds` number, a `metrics` object holding the
+/// [`REQUIRED_METRICS`] (`median_seconds`, `dim`) as numbers, and the
+/// coherent [`FILL_METRICS`] and [`ADAPTIVE_METRICS`] sets. The file is
+/// parsed as JSON and every field is checked by type, so a name that
+/// appears only as a label or with the wrong type does not count.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first missing field or record.
+/// Returns a message naming the first missing or mistyped field.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
-    if !text.contains("\"tag\": \"") {
-        return Err("missing file-level \"tag\" field".into());
+    let doc = parse_json(text).map_err(|e| format!("not JSON: {e}"))?;
+    doc.field("tag", Json::as_str, "file")?;
+    let records = doc.field("records", Json::as_array, "file")?;
+    if records.is_empty() {
+        return Err("no records".into());
     }
-    let Some(start) = text.find("\"records\": [") else {
-        return Err("missing \"records\" array".into());
-    };
-    let mut records = 0;
-    for line in text[start..].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
+    // A metric is a number, or null where the writer met NaN or ±∞.
+    let number_or_null = |v: &Json| matches!(v, Json::Num(_) | Json::Null).then_some(());
+    for (i, rec) in records.iter().enumerate() {
+        let ctx = format!("record {}", i + 1);
+        rec.field("method", Json::as_str, &ctx)?;
+        rec.field("workload", Json::as_str, &ctx)?;
+        rec.field("wall_seconds", number_or_null, &ctx)?;
+        let metrics = rec.field("metrics", Json::as_object, &ctx)?;
+        if metrics.iter().any(|(_, v)| number_or_null(v).is_none()) {
+            return Err(format!("{ctx}: a metric is neither a number nor null"));
         }
-        records += 1;
-        for field in ["\"method\": \"", "\"workload\": \"", "\"wall_seconds\": "] {
-            if !line.contains(field) {
-                return Err(format!("record {records}: missing {field}"));
-            }
-        }
-        for metric in REQUIRED_METRICS {
-            if !line.contains(&format!("\"{metric}\": ")) {
-                return Err(format!("record {records}: missing metric \"{metric}\""));
-            }
+        let labels = match rec.get("labels") {
+            None => &[][..],
+            Some(labels) => labels
+                .as_object()
+                .filter(|l| l.iter().all(|(_, v)| v.as_str().is_some()))
+                .ok_or(format!("{ctx}: \"labels\" is not an object of strings"))?,
+        };
+        let metric = |name: &str| metrics.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        let has = |name: &str| metric(name).is_some();
+        if let Some(name) = REQUIRED_METRICS
+            .iter()
+            .find(|m| metric(m).and_then(Json::as_f64).is_none())
+        {
+            return Err(format!("{ctx}: missing metric \"{name}\""));
         }
         // Fill metrics are optional but must arrive as a coherent set:
         // both numbers plus the ordering label that produced the fill.
-        let has_fill = FILL_METRICS
-            .iter()
-            .any(|m| line.contains(&format!("\"{m}\": ")));
-        if has_fill {
-            for metric in FILL_METRICS {
-                if !line.contains(&format!("\"{metric}\": ")) {
-                    return Err(format!(
-                        "record {records}: has fill metrics but misses \"{metric}\""
-                    ));
-                }
+        if FILL_METRICS.iter().any(|m| has(m)) {
+            if let Some(metric) = FILL_METRICS.iter().find(|m| !has(m)) {
+                return Err(format!("{ctx}: has fill metrics but misses \"{metric}\""));
             }
-            if !line.contains("\"ordering\": \"") {
-                return Err(format!(
-                    "record {records}: fill metrics need an \"ordering\" label"
-                ));
+            if !labels.iter().any(|(k, _)| k == "ordering") {
+                return Err(format!("{ctx}: fill metrics need an \"ordering\" label"));
             }
         }
         // Adaptive provenance is optional but all-or-nothing: a record
         // reporting an estimated error must also say what order and how
         // many expansion points bought it.
-        let has_adaptive = ADAPTIVE_METRICS
-            .iter()
-            .any(|m| line.contains(&format!("\"{m}\": ")));
-        if has_adaptive {
-            for metric in ADAPTIVE_METRICS {
-                if !line.contains(&format!("\"{metric}\": ")) {
-                    return Err(format!(
-                        "record {records}: has adaptive metrics but misses \"{metric}\""
-                    ));
-                }
+        if ADAPTIVE_METRICS.iter().any(|m| has(m)) {
+            if let Some(metric) = ADAPTIVE_METRICS.iter().find(|m| !has(m)) {
+                return Err(format!(
+                    "{ctx}: has adaptive metrics but misses \"{metric}\""
+                ));
             }
         }
     }
-    if records == 0 {
-        return Err("no records".into());
-    }
     Ok(())
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number; non-finite values become `null` (JSON has no NaN/Inf).
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        // Rust's shortest round-trip Display is valid JSON for finite f64.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -331,6 +290,18 @@ mod tests {
             .unwrap_err()
             .contains("no records"));
         assert!(validate_bench_json("{}").is_err());
+    }
+
+    #[test]
+    fn label_named_like_a_required_metric_is_not_the_metric() {
+        let dir = std::env::temp_dir().join("pmor_bench_validate_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let rec = BenchRecord::new("lowrank", "rc_mesh(1089)", 0.5)
+            .metric("dim", 1089.0)
+            .label("median_seconds", "x");
+        let path = write_bench_json_in(&dir, "label_only", &[rec]).unwrap();
+        let err = validate_bench_json(&std::fs::read_to_string(&path).unwrap()).unwrap_err();
+        assert!(err.contains("median_seconds"), "{err}");
     }
 
     #[test]

@@ -313,7 +313,7 @@ pub fn parse(text: &str) -> Result<Document, TomlError> {
         if key.is_empty() || !key.chars().all(is_bare_key_char) {
             return err(lineno, format!("invalid key {key:?}"));
         }
-        let (value, rest) = parse_value(line[eq + 1..].trim(), lineno)?;
+        let (value, rest) = parse_toml_value(line[eq + 1..].trim(), lineno)?;
         if !rest.trim().is_empty() {
             return err(lineno, format!("trailing characters after value: {rest:?}"));
         }
@@ -412,7 +412,7 @@ fn strip_comment(line: &str, lineno: usize) -> Result<&str, TomlError> {
 }
 
 /// Parses one value from the front of `input`, returning the rest.
-fn parse_value(input: &str, lineno: usize) -> Result<(Value, &str), TomlError> {
+fn parse_toml_value(input: &str, lineno: usize) -> Result<(Value, &str), TomlError> {
     let input = input.trim_start();
     if input.is_empty() {
         return err(lineno, "missing value");
@@ -495,7 +495,7 @@ fn parse_array(mut input: &str, lineno: usize) -> Result<(Value, &str), TomlErro
         if input.is_empty() {
             return err(lineno, "unterminated array");
         }
-        let (v, rest) = parse_value(input, lineno)?;
+        let (v, rest) = parse_toml_value(input, lineno)?;
         if matches!(v, Value::Array(_)) {
             return err(lineno, "nested arrays are not supported");
         }

@@ -185,7 +185,7 @@ pub fn parse_spice(deck: &str) -> Result<Netlist, ParseSpiceError> {
                 })
             }
         };
-        let value = parse_value(v_tok).ok_or_else(|| ParseSpiceError {
+        let value = parse_spice_value(v_tok).ok_or_else(|| ParseSpiceError {
             line,
             message: format!("bad value '{v_tok}'"),
         })?;
@@ -275,7 +275,7 @@ pub fn parse_spice(deck: &str) -> Result<Netlist, ParseSpiceError> {
 
 /// Parses a SPICE number with optional engineering suffix
 /// (`f p n u m k meg g t`).
-fn parse_value(tok: &str) -> Option<f64> {
+fn parse_spice_value(tok: &str) -> Option<f64> {
     let lower = tok.to_ascii_lowercase();
     let (digits, mult) = if let Some(stripped) = lower.strip_suffix("meg") {
         (stripped, 1e6)
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn engineering_suffixes() {
         let close = |tok: &str, want: f64| {
-            let got = parse_value(tok).unwrap_or_else(|| panic!("{tok} failed to parse"));
+            let got = parse_spice_value(tok).unwrap_or_else(|| panic!("{tok} failed to parse"));
             assert!(
                 (got - want).abs() <= 1e-12 * want.abs(),
                 "{tok}: {got} vs {want}"
@@ -355,7 +355,7 @@ mod tests {
         close("4g", 4e9);
         close("100.0", 100.0);
         close("1e-12", 1e-12);
-        assert_eq!(parse_value("bogus"), None);
+        assert_eq!(parse_spice_value("bogus"), None);
     }
 
     #[test]

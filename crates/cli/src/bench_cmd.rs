@@ -167,10 +167,7 @@ pub fn run_suite(
         let tag = format!("{}_{}", suite.name, entry.tag);
         let path = write_bench_json_in(out_dir, &tag, &records)
             .map_err(|e| CliError::Io(format!("writing BENCH_{tag}.json: {e}")))?;
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CliError::Io(format!("re-reading {}: {e}", path.display())))?;
-        validate_bench_json(&text)
-            .map_err(|e| CliError::Invalid(format!("{} failed validation: {e}", path.display())))?;
+        crate::recheck_written(&path, validate_bench_json)?;
         println!("# wrote {} ({} records)", path.display(), records.len());
         total += records.len();
         files.push(path);
@@ -725,32 +722,5 @@ fn run_serve_entry(spec: &ServeEntrySpec<'_>) -> Result<Vec<BenchRecord>, CliErr
 /// files, not just the first, so one broken record cannot hide the rest
 /// of a directory's failures.
 pub fn check_files(paths: &[String]) -> Result<(), CliError> {
-    if paths.is_empty() {
-        return Err(CliError::Usage("--check needs at least one file".into()));
-    }
-    let mut failures = Vec::new();
-    for path in paths {
-        let verdict = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| {
-                validate_bench_json(&text).map_err(|e| format!("{path} failed validation: {e}"))
-            });
-        match verdict {
-            Ok(()) => println!("# {path}: ok"),
-            Err(msg) => {
-                println!("# {path}: INVALID");
-                failures.push(msg);
-            }
-        }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Invalid(format!(
-            "{} of {} files failed validation:\n  {}",
-            failures.len(),
-            paths.len(),
-            failures.join("\n  ")
-        )))
-    }
+    crate::validate_all(paths, "--check", |_| validate_bench_json)
 }

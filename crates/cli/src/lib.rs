@@ -40,6 +40,7 @@ pub use pmor_variation::analysis::{AnalysisConfig, AnalysisKind, ErrorMetric};
 pub use scenario::{AnalysisSpec, OutputSpec, Scenario, SystemSpec};
 
 use std::fmt;
+use std::path::Path;
 
 /// Top-level CLI error: every failure the binary reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,5 +71,57 @@ impl std::error::Error for CliError {}
 impl From<crate::toml::TomlError> for CliError {
     fn from(e: crate::toml::TomlError) -> Self {
         CliError::Invalid(e.to_string())
+    }
+}
+
+/// Re-reads a report this run just wrote and checks it with one of the
+/// `validate_*_json` validators, so a writer defect fails the run that
+/// made it.
+pub(crate) fn recheck_written(
+    path: &Path,
+    validate: fn(&str) -> Result<(), String>,
+) -> Result<(), CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Io(format!("re-reading {}: {e}", path.display())))?;
+    validate(&text)
+        .map_err(|e| CliError::Invalid(format!("{} failed validation: {e}", path.display())))
+}
+
+/// Validates every file in `paths` with the validator `pick` chooses
+/// for its path, printing one verdict per file. Every file is checked
+/// before the verdict: the error names *all* invalid files, not just
+/// the first, so one broken report cannot hide the rest.
+pub(crate) fn validate_all(
+    paths: &[String],
+    flag: &str,
+    pick: impl Fn(&str) -> fn(&str) -> Result<(), String>,
+) -> Result<(), CliError> {
+    if paths.is_empty() {
+        return Err(CliError::Usage(format!("{flag} needs at least one file")));
+    }
+    let mut failures = Vec::new();
+    for path in paths {
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| format!("reading {path}: {e}"))
+            .and_then(|text| {
+                pick(path)(&text).map_err(|e| format!("{path} failed validation: {e}"))
+            });
+        match verdict {
+            Ok(()) => println!("# {path}: ok"),
+            Err(msg) => {
+                println!("# {path}: INVALID");
+                failures.push(msg);
+            }
+        }
+    }
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(CliError::Invalid(format!(
+            "{} of {} files failed validation:\n  {}",
+            failures.len(),
+            paths.len(),
+            failures.join("\n  ")
+        )))
     }
 }

@@ -66,10 +66,7 @@ pub fn run_lint(
             .map_err(|e| CliError::Io(format!("creating {}: {e}", dir.display())))?;
         let path = write_lint_json_in(dir, "workspace", &report)
             .map_err(|e| CliError::Io(format!("writing LINT_workspace.json: {e}")))?;
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CliError::Io(format!("re-reading {}: {e}", path.display())))?;
-        validate_lint_json(&text)
-            .map_err(|e| CliError::Invalid(format!("{} failed validation: {e}", path.display())))?;
+        crate::recheck_written(&path, validate_lint_json)?;
         println!("# wrote {}", path.display());
     }
     if let Some(dir) = graph_out {
@@ -77,10 +74,7 @@ pub fn run_lint(
             .map_err(|e| CliError::Io(format!("creating {}: {e}", dir.display())))?;
         let path = write_callgraph_json_in(dir, "workspace", &analysis.graph, &analysis.transitive)
             .map_err(|e| CliError::Io(format!("writing CALLGRAPH_workspace.json: {e}")))?;
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| CliError::Io(format!("re-reading {}: {e}", path.display())))?;
-        validate_callgraph_json(&text)
-            .map_err(|e| CliError::Invalid(format!("{} failed validation: {e}", path.display())))?;
+        crate::recheck_written(&path, validate_callgraph_json)?;
         println!(
             "# wrote {} ({} nodes, {} edges, {} witness paths)",
             path.display(),
@@ -110,41 +104,15 @@ pub fn run_lint(
 /// file is checked before the verdict — the error names *all* invalid
 /// files, mirroring `pmor bench --check`.
 pub fn validate_files(paths: &[String]) -> Result<(), CliError> {
-    if paths.is_empty() {
-        return Err(CliError::Usage("--validate needs at least one file".into()));
-    }
-    let mut failures = Vec::new();
-    for path in paths {
+    crate::validate_all(paths, "--validate", |path| {
         let is_graph = Path::new(path)
             .file_name()
             .and_then(|n| n.to_str())
             .is_some_and(|n| n.starts_with("CALLGRAPH_"));
-        let verdict = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| {
-                let checked = if is_graph {
-                    validate_callgraph_json(&text)
-                } else {
-                    validate_lint_json(&text)
-                };
-                checked.map_err(|e| format!("{path} failed validation: {e}"))
-            });
-        match verdict {
-            Ok(()) => println!("# {path}: ok"),
-            Err(msg) => {
-                println!("# {path}: INVALID");
-                failures.push(msg);
-            }
+        if is_graph {
+            validate_callgraph_json
+        } else {
+            validate_lint_json
         }
-    }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(CliError::Invalid(format!(
-            "{} of {} files failed validation:\n  {}",
-            failures.len(),
-            paths.len(),
-            failures.join("\n  ")
-        )))
-    }
+    })
 }

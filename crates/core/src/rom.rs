@@ -480,107 +480,55 @@ pub fn to_bytes(rom: &ParametricRom) -> Vec<u8> {
 /// checksum mismatch (corruption), truncation, or inconsistent matrix
 /// dimensions.
 pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
-    let err = |msg: &str| PmorError::Invalid(format!("ROM deserialization: {msg}"));
     if bytes.len() < ROM_MAGIC.len() + 4 + 8 {
-        return Err(err("file too short"));
+        return Err(rom_err("file too short"));
     }
-    if bytes[..8] != ROM_MAGIC {
-        return Err(err("not a pmor ROM file (bad magic)"));
+    let mut r = ByteReader::new(bytes);
+    if r.take(ROM_MAGIC.len()).map_err(truncated)? != ROM_MAGIC {
+        return Err(rom_err("not a pmor ROM file (bad magic)"));
     }
-    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = r.take_u32().map_err(truncated)?;
     if version != ROM_FORMAT_VERSION {
-        return Err(err(&format!(
+        return Err(rom_err(&format!(
             "unsupported format version {version} (this build reads version {ROM_FORMAT_VERSION})"
         )));
     }
-    let payload = &bytes[12..bytes.len() - 8];
-    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
-    let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    let payload = r.take(r.remaining() - 8).map_err(truncated)?;
+    let stored_sum = r.take_u64().map_err(truncated)?;
     if fnv1a(payload) != stored_sum {
-        return Err(err("checksum mismatch (corrupted file)"));
+        return Err(rom_err("checksum mismatch (corrupted file)"));
     }
 
-    let mut cursor = 0usize;
-    let mut next_u64 = |payload: &[u8]| -> Result<u64> {
-        let end = cursor
-            .checked_add(8)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| err("truncated payload"))?;
-        // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
-        let v = u64::from_le_bytes(payload[cursor..end].try_into().unwrap());
-        cursor = end;
-        Ok(v)
-    };
-    let as_dim = |v: u64| -> Result<usize> {
-        // A dimension beyond ~16M rows would mean a multi-terabyte dense
-        // payload; anything larger is a corrupt header that survived the
-        // checksum of a truncated write.
-        if v > (1 << 24) {
-            Err(err(&format!("implausible dimension {v}")))
-        } else {
-            Ok(v as usize)
-        }
-    };
-    let size = as_dim(next_u64(payload)?)?;
-    let full_dim = as_dim(next_u64(payload)?)?;
-    let np = as_dim(next_u64(payload)?)?;
-    let ni = as_dim(next_u64(payload)?)?;
-    let no = as_dim(next_u64(payload)?)?;
-    let mut read_mat = |payload: &[u8], want_r: usize, want_c: usize| -> Result<Matrix<f64>> {
-        let end = cursor
-            .checked_add(16)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| err("truncated payload"))?;
-        let nr = as_dim(u64::from_le_bytes(
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
-            payload[cursor..cursor + 8].try_into().unwrap(),
-        ))?;
-        let nc = as_dim(u64::from_le_bytes(
-            // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
-            payload[cursor + 8..end].try_into().unwrap(),
-        ))?;
-        cursor = end;
-        if nr != want_r || nc != want_c {
-            return Err(err(&format!(
-                "matrix dimension mismatch: stored {nr}×{nc}, header implies {want_r}×{want_c}"
-            )));
-        }
-        let n = nr
-            .checked_mul(nc)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or_else(|| err("matrix size overflow"))?;
-        let data_end = cursor
-            .checked_add(n)
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| err("truncated payload"))?;
-        let mut m = Matrix::zeros(nr, nc);
-        for r in 0..nr {
-            for c in 0..nc {
-                let at = cursor + 8 * (r * nc + c);
-                m[(r, c)] =
-                    // pmor-lint: allow(panic-in-lib, panic-reachable-hot) reason="the slice range is exactly 8 bytes by construction, so the array conversion cannot fail — holds unchanged on the daemon upload route, hot via accept_loop -> load -> from_bytes"
-                    f64::from_bits(u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()));
-            }
-        }
-        cursor = data_end;
-        Ok(m)
-    };
-    let g0 = read_mat(payload, size, size)?;
-    let c0 = read_mat(payload, size, size)?;
+    let r = &mut ByteReader::new(payload);
+    let size = take_dim(r)?;
+    let full_dim = take_dim(r)?;
+    let np = take_dim(r)?;
+    let ni = take_dim(r)?;
+    let no = take_dim(r)?;
+    let g0 = take_matrix(r, size, size)?;
+    let c0 = take_matrix(r, size, size)?;
+    // Each parameter's G̃ᵢ and C̃ᵢ take at least their two 16-byte
+    // shapes: a count the bytes left cannot hold is rejected before it
+    // sizes an allocation.
+    if np > r.remaining() / 32 {
+        return Err(rom_err(&format!(
+            "header claims {np} parameters, more than the {} payload bytes left can hold",
+            r.remaining()
+        )));
+    }
     let mut gi = Vec::with_capacity(np);
     for _ in 0..np {
-        gi.push(read_mat(payload, size, size)?);
+        gi.push(take_matrix(r, size, size)?);
     }
     let mut ci = Vec::with_capacity(np);
     for _ in 0..np {
-        ci.push(read_mat(payload, size, size)?);
+        ci.push(take_matrix(r, size, size)?);
     }
-    let b = read_mat(payload, size, ni)?;
-    let l = read_mat(payload, size, no)?;
-    let projection = read_mat(payload, full_dim, size)?;
-    if cursor != payload.len() {
-        return Err(err("trailing bytes after payload"));
+    let b = take_matrix(r, size, ni)?;
+    let l = take_matrix(r, size, no)?;
+    let projection = take_matrix(r, full_dim, size)?;
+    if r.remaining() != 0 {
+        return Err(rom_err("trailing bytes after payload"));
     }
     Ok(ParametricRom {
         g0,
@@ -591,6 +539,48 @@ pub fn from_bytes(bytes: &[u8]) -> Result<ParametricRom> {
         l,
         projection,
     })
+}
+
+fn rom_err(msg: &str) -> PmorError {
+    PmorError::Invalid(format!("ROM deserialization: {msg}"))
+}
+
+fn truncated(_: Truncated) -> PmorError {
+    rom_err("truncated payload")
+}
+
+/// One header dimension. A dimension beyond ~16M rows would mean a
+/// multi-terabyte dense payload; anything larger is a corrupt header.
+fn take_dim(r: &mut ByteReader<'_>) -> Result<usize> {
+    match r.take_u64().map_err(truncated)? {
+        v if v > (1 << 24) => Err(rom_err(&format!("implausible dimension {v}"))),
+        v => Ok(v as usize),
+    }
+}
+
+/// One stored matrix: its `nrows, ncols` shape, which must equal the
+/// shape the header implies, then its row-major body as one checked
+/// slice of `f64` bit patterns.
+fn take_matrix(r: &mut ByteReader<'_>, want_r: usize, want_c: usize) -> Result<Matrix<f64>> {
+    let nr = take_dim(r)?;
+    let nc = take_dim(r)?;
+    if nr != want_r || nc != want_c {
+        return Err(rom_err(&format!(
+            "matrix dimension mismatch: stored {nr}×{nc}, header implies {want_r}×{want_c}"
+        )));
+    }
+    let len = nr
+        .checked_mul(nc)
+        .and_then(|n| n.checked_mul(8))
+        .ok_or_else(|| rom_err("matrix size overflow"))?;
+    let body = r.take(len).map_err(truncated)?;
+    let mut m = Matrix::zeros(nr, nc);
+    for (x, word) in m.as_mut_slice().iter_mut().zip(body.chunks_exact(8)) {
+        let mut bits = [0u8; 8];
+        bits.copy_from_slice(word);
+        *x = f64::from_bits(u64::from_le_bytes(bits));
+    }
+    Ok(m)
 }
 
 /// Writes `rom` to `path` in the versioned binary ROM format (see
@@ -646,6 +636,67 @@ impl ParametricRom {
 /// store and its `Eval` requests address models by.
 pub fn fingerprint(rom: &ParametricRom) -> u64 {
     fnv1a(&to_bytes(rom))
+}
+
+/// A read ran past the end of a [`ByteReader`]'s buffer. Each decoder
+/// maps it to its own error type and wording.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated;
+
+/// Bounds-checked little-endian cursor over a byte slice: the reason the
+/// `.rom` decoder and the `pmor serve` frame decoder cannot panic on
+/// byte soup. Every `take*` read either returns the next bytes or, when
+/// too few remain, consumes nothing and returns [`Truncated`].
+#[derive(Debug)]
+pub struct ByteReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader positioned at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        ByteReader { buf, pos: 0 }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `n` bytes as one slice.
+    pub fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], Truncated> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or(Truncated)?;
+        let out = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(out)
+    }
+
+    /// The next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> std::result::Result<[u8; N], Truncated> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    /// The next little-endian `u16`.
+    pub fn take_u16(&mut self) -> std::result::Result<u16, Truncated> {
+        self.take_array().map(u16::from_le_bytes)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn take_u32(&mut self) -> std::result::Result<u32, Truncated> {
+        self.take_array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn take_u64(&mut self) -> std::result::Result<u64, Truncated> {
+        self.take_array().map(u64::from_le_bytes)
+    }
 }
 
 /// Byte-wise FNV-1a: the `.rom` payload checksum, the model

@@ -10,10 +10,15 @@
 //! tests, but a runtime test catches a violation only on the inputs it
 //! runs. In the spirit of proof-carrying numeric claims, this crate
 //! checks the invariants *statically* on every source line: a
-//! dependency-free, hand-rolled scanner ([`scan`]) feeds a registry of
+//! hand-rolled scanner ([`scan`]) feeds a registry of
 //! rules ([`rules::LintKind`], symmetric to `ReducerKind` /
 //! `AnalysisKind`) and the results land in validated `LINT_*.json`
 //! reports ([`report`]) next to the `BENCH_*.json` machinery.
+//!
+//! The crate depends on no library crate of the workspace, so a change
+//! to the code it checks can never break it. Its one dependency is the
+//! leaf `pmor-json`, which has none: the reports are written with its
+//! primitives and validated by parsing them back with it.
 //!
 //! Suppressions are scoped comments that **must** carry a reason:
 //!

@@ -2,17 +2,18 @@
 //! `CALLGRAPH_<tag>.json`.
 //!
 //! The format mirrors the `BENCH_*.json` discipline from `pmor-bench`:
-//! a flat, line-per-record layout written by hand and validated by a
-//! structural checker ([`validate_lint_json`]) that the CI artifact
-//! gate runs — so a lint trajectory can be diffed across PRs exactly
-//! like the bench trajectory. On top of the findings, the report
-//! carries the full **allow ledger**: every suppression in the
+//! a flat, line-per-record layout written with the `pmor-json` writer
+//! primitives and validated by parsing it back and checking every
+//! field by type ([`validate_lint_json`], [`validate_callgraph_json`])
+//! in the CI artifact gate — so a lint trajectory can be diffed across
+//! changes exactly like the bench trajectory. On top of the findings,
+//! the report carries the full **allow ledger**: every suppression in the
 //! workspace, with its reason and whether it still suppresses anything
 //! (an unused allow is itself an error — the ledger never rots).
 
 use crate::graph::{CallGraph, TransitiveFinding};
 use crate::rules::LintKind;
-use std::io::Write;
+use pmor_json::{json_string, parse_json, Json};
 use std::path::PathBuf;
 
 /// One rule violation.
@@ -113,35 +114,25 @@ pub fn write_lint_json_in(
     let path = dir.join(format!("LINT_{tag}.json"));
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"tag\": {},\n", json_string(tag)));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in report.findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}{}\n",
+    push_records(&mut out, "findings", &report.findings, |_, f| {
+        format!(
+            "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
             json_string(f.rule.name()),
             json_string(&f.file),
             f.line,
             json_string(&f.message),
-            if i + 1 < report.findings.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"allows\": [\n");
-    for (i, a) in report.allows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"used\": {}, \"reason\": {}}}{}\n",
+        )
+    });
+    push_records(&mut out, "allows", &report.allows, |_, a| {
+        format!(
+            "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"used\": {}, \"reason\": {}}}",
             json_string(a.rule.name()),
             json_string(&a.file),
             a.line,
             a.used,
             json_string(&a.reason),
-            if i + 1 < report.allows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
     out.push_str(&format!(
         "  \"summary\": {{\"files_scanned\": {}, \"findings\": {}, \"allows_used\": {}, \
          \"allows_unused\": {}, \"bad_allows\": {}}}\n",
@@ -152,8 +143,7 @@ pub fn write_lint_json_in(
         report.bad_allows.len()
     ));
     out.push_str("}\n");
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(out.as_bytes())?;
+    std::fs::write(&path, out)?;
     Ok(path)
 }
 
@@ -161,78 +151,39 @@ pub fn write_lint_json_in(
 /// [`write_lint_json_in`]: a file-level `tag`, a `findings` array whose
 /// every record carries a **registered** rule id, a file and a line, an
 /// `allows` array whose every record carries rule/file/line/used/reason,
-/// and a `summary` with the allow-ledger counts. Like
-/// `validate_bench_json` this is a structural check of the writer's own
-/// line-per-record format, not a general JSON parser.
+/// and a `summary` with the allow-ledger counts. The file is parsed as
+/// JSON and every field is checked by type (strings, non-negative
+/// integers, booleans).
 ///
 /// # Errors
 ///
 /// Returns a message naming the first missing or malformed field.
 pub fn validate_lint_json(text: &str) -> Result<(), String> {
-    if !text.contains("\"tag\": \"") {
-        return Err("missing file-level \"tag\" field".into());
+    let doc = report_doc(text)?;
+    for (i, f) in array(&doc, "findings")?.iter().enumerate() {
+        let ctx = format!("finding {}", i + 1);
+        rule_id(f, &ctx)?;
+        f.field("file", Json::as_str, &ctx)?;
+        f.field("line", Json::as_usize, &ctx)?;
     }
-    let Some(findings_at) = text.find("\"findings\": [") else {
-        return Err("missing \"findings\" array".into());
-    };
-    let Some(allows_at) = text.find("\"allows\": [") else {
-        return Err("missing \"allows\" array".into());
-    };
-    let Some(summary_at) = text.find("\"summary\": {") else {
-        return Err("missing \"summary\" object".into());
-    };
-    let mut records = 0usize;
-    for line in text[findings_at..allows_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        records += 1;
-        for field in ["\"rule\": \"", "\"file\": \"", "\"line\": "] {
-            if !line.contains(field) {
-                return Err(format!("finding {records}: missing {field}"));
-            }
-        }
-        let rule = field_str(line, "rule").unwrap_or_default();
-        if LintKind::from_name(&rule).is_none() {
-            return Err(format!("finding {records}: unregistered rule id {rule:?}"));
-        }
+    for (i, a) in array(&doc, "allows")?.iter().enumerate() {
+        let ctx = format!("allow {}", i + 1);
+        rule_id(a, &ctx)?;
+        a.field("file", Json::as_str, &ctx)?;
+        a.field("line", Json::as_usize, &ctx)?;
+        a.field("used", Json::as_bool, &ctx)?;
+        a.field("reason", Json::as_str, &ctx)?;
     }
-    let mut entries = 0usize;
-    for line in text[allows_at..summary_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        entries += 1;
-        for field in [
-            "\"rule\": \"",
-            "\"file\": \"",
-            "\"line\": ",
-            "\"used\": ",
-            "\"reason\": \"",
-        ] {
-            if !line.contains(field) {
-                return Err(format!("allow {entries}: missing {field}"));
-            }
-        }
-        let rule = field_str(line, "rule").unwrap_or_default();
-        if LintKind::from_name(&rule).is_none() {
-            return Err(format!("allow {entries}: unregistered rule id {rule:?}"));
-        }
-    }
-    for count in [
-        "files_scanned",
-        "findings",
-        "allows_used",
-        "allows_unused",
-        "bad_allows",
-    ] {
-        if !text[summary_at..].contains(&format!("\"{count}\": ")) {
-            return Err(format!("summary: missing \"{count}\" count"));
-        }
-    }
-    Ok(())
+    summary(
+        &doc,
+        &[
+            "files_scanned",
+            "findings",
+            "allows_used",
+            "allows_unused",
+            "bad_allows",
+        ],
+    )
 }
 
 /// Serializes a call graph plus its witness paths to
@@ -255,30 +206,21 @@ pub fn write_callgraph_json_in(
     let path = dir.join(format!("CALLGRAPH_{tag}.json"));
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"tag\": {},\n", json_string(tag)));
-    out.push_str("  \"nodes\": [\n");
-    for (id, n) in graph.nodes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": {id}, \"fn\": {}, \"file\": {}, \"line\": {}, \"kernel\": {}}}{}\n",
+    push_records(&mut out, "nodes", &graph.nodes, |id, n| {
+        format!(
+            "{{\"id\": {id}, \"fn\": {}, \"file\": {}, \"line\": {}, \"kernel\": {}}}",
             json_string(&n.name),
             json_string(&n.file),
             n.line,
             n.is_kernel,
-            if id + 1 < graph.nodes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"edges\": [\n");
-    for (i, e) in graph.edges.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"caller\": {}, \"callee\": {}, \"line\": {}, \"candidates\": {}}}{}\n",
-            e.caller,
-            e.callee,
-            e.line,
-            e.candidates,
-            if i + 1 < graph.edges.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
+    push_records(&mut out, "edges", &graph.edges, |_, e| {
+        format!(
+            "{{\"caller\": {}, \"callee\": {}, \"line\": {}, \"candidates\": {}}}",
+            e.caller, e.callee, e.line, e.candidates,
+        )
+    });
     out.push_str(&format!(
         "  \"kernel_roots\": [{}],\n",
         graph
@@ -288,34 +230,24 @@ pub fn write_callgraph_json_in(
             .collect::<Vec<_>>()
             .join(", ")
     ));
-    out.push_str("  \"panic_sinks\": [\n");
-    for (i, s) in graph.panic_sinks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"node\": {}, \"line\": {}, \"what\": {}, \"ledgered\": {}}}{}\n",
+    push_records(&mut out, "panic_sinks", &graph.panic_sinks, |_, s| {
+        format!(
+            "{{\"node\": {}, \"line\": {}, \"what\": {}, \"ledgered\": {}}}",
             s.node,
             s.line,
             json_string(s.what),
             s.ledgered,
-            if i + 1 < graph.panic_sinks.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"witness_paths\": [\n");
-    for (i, w) in witnesses.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"path\": {}}}{}\n",
+        )
+    });
+    push_records(&mut out, "witness_paths", witnesses, |_, w| {
+        format!(
+            "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"path\": {}}}",
             json_string(w.finding.rule.name()),
             json_string(&w.finding.file),
             w.finding.line,
             json_string(&graph.path_names(&w.path)),
-            if i + 1 < witnesses.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+        )
+    });
     out.push_str(&format!(
         "  \"summary\": {{\"nodes\": {}, \"edges\": {}, \"kernel_roots\": {}, \
          \"panic_sinks\": {}, \"witness_paths\": {}, \"ambiguous_edges\": {}}}\n",
@@ -327,8 +259,7 @@ pub fn write_callgraph_json_in(
         graph.edges.iter().filter(|e| e.candidates > 1).count()
     ));
     out.push_str("}\n");
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(out.as_bytes())?;
+    std::fs::write(&path, out)?;
     Ok(path)
 }
 
@@ -338,179 +269,113 @@ pub fn write_callgraph_json_in(
 /// from 0; an `edges` array whose caller/callee ids are in node range;
 /// `kernel_roots` ids in range; `panic_sinks` records with
 /// node/line/what/ledgered; `witness_paths` records whose rule ids are
-/// **registered**; and a `summary` with the six counts. Structural, in
-/// the house line-per-record discipline — not a general JSON parser.
+/// **registered**; and a `summary` with the six counts. The file is
+/// parsed as JSON and every field is checked by type.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first missing or malformed field.
 pub fn validate_callgraph_json(text: &str) -> Result<(), String> {
-    if !text.contains("\"tag\": \"") {
-        return Err("missing file-level \"tag\" field".into());
+    let doc = report_doc(text)?;
+    let nodes = array(&doc, "nodes")?;
+    for (i, n) in nodes.iter().enumerate() {
+        let ctx = format!("node {i}");
+        if n.field("id", Json::as_usize, &ctx)? != i {
+            return Err(format!("{ctx}: ids must count up from 0"));
+        }
+        n.field("fn", Json::as_str, &ctx)?;
+        n.field("file", Json::as_str, &ctx)?;
+        n.field("line", Json::as_usize, &ctx)?;
+        n.field("kernel", Json::as_bool, &ctx)?;
     }
-    let section = |name: &str| -> Result<usize, String> {
-        text.find(&format!("\"{name}\": ["))
-            .ok_or(format!("missing \"{name}\" array"))
+    let node_id = |rec: &Json, key: &str, ctx: &str| match rec.field(key, Json::as_usize, ctx)? {
+        id if id < nodes.len() => Ok(()),
+        _ => Err(format!("{ctx}: {key} id out of node range")),
     };
-    let nodes_at = section("nodes")?;
-    let edges_at = section("edges")?;
-    let roots_at = section("kernel_roots")?;
-    let sinks_at = section("panic_sinks")?;
-    let paths_at = section("witness_paths")?;
-    let Some(summary_at) = text.find("\"summary\": {") else {
-        return Err("missing \"summary\" object".into());
-    };
-    let mut nodes = 0usize;
-    for line in text[nodes_at..edges_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        for field in [
-            "\"id\": ",
-            "\"fn\": \"",
-            "\"file\": \"",
-            "\"line\": ",
-            "\"kernel\": ",
-        ] {
-            if !line.contains(field) {
-                return Err(format!("node {nodes}: missing {field}"));
-            }
-        }
-        if field_num(line, "id") != Some(nodes) {
-            return Err(format!("node {nodes}: ids must count up from 0"));
-        }
-        nodes += 1;
+    for (i, e) in array(&doc, "edges")?.iter().enumerate() {
+        let ctx = format!("edge {}", i + 1);
+        node_id(e, "caller", &ctx)?;
+        node_id(e, "callee", &ctx)?;
+        e.field("line", Json::as_usize, &ctx)?;
+        e.field("candidates", Json::as_usize, &ctx)?;
     }
-    let mut edges = 0usize;
-    for line in text[edges_at..roots_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        edges += 1;
-        for field in [
-            "\"caller\": ",
-            "\"callee\": ",
-            "\"line\": ",
-            "\"candidates\": ",
-        ] {
-            if !line.contains(field) {
-                return Err(format!("edge {edges}: missing {field}"));
-            }
-        }
-        for end in ["caller", "callee"] {
-            match field_num(line, end) {
-                Some(id) if id < nodes => {}
-                _ => return Err(format!("edge {edges}: {end} id out of node range")),
-            }
+    for (i, root) in array(&doc, "kernel_roots")?.iter().enumerate() {
+        if root.as_usize().is_none_or(|id| id >= nodes.len()) {
+            return Err(format!("kernel_roots: entry {} is not a node id", i + 1));
         }
     }
-    let roots_line = text[roots_at..sinks_at].lines().next().unwrap_or_default();
-    let root_list = roots_line
-        .split('[')
-        .nth(1)
-        .and_then(|r| r.split(']').next())
-        .ok_or("kernel_roots: not a one-line id array")?;
-    for id in root_list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-    {
-        match id.parse::<usize>() {
-            Ok(id) if id < nodes => {}
-            _ => return Err(format!("kernel_roots: id {id:?} out of node range")),
-        }
+    for (i, s) in array(&doc, "panic_sinks")?.iter().enumerate() {
+        let ctx = format!("panic sink {}", i + 1);
+        node_id(s, "node", &ctx)?;
+        s.field("line", Json::as_usize, &ctx)?;
+        s.field("what", Json::as_str, &ctx)?;
+        s.field("ledgered", Json::as_bool, &ctx)?;
     }
-    let mut sinks = 0usize;
-    for line in text[sinks_at..paths_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        sinks += 1;
-        for field in ["\"node\": ", "\"line\": ", "\"what\": \"", "\"ledgered\": "] {
-            if !line.contains(field) {
-                return Err(format!("panic sink {sinks}: missing {field}"));
-            }
-        }
-        match field_num(line, "node") {
-            Some(id) if id < nodes => {}
-            _ => return Err(format!("panic sink {sinks}: node id out of range")),
-        }
+    for (i, w) in array(&doc, "witness_paths")?.iter().enumerate() {
+        let ctx = format!("witness path {}", i + 1);
+        rule_id(w, &ctx)?;
+        w.field("file", Json::as_str, &ctx)?;
+        w.field("line", Json::as_usize, &ctx)?;
+        w.field("path", Json::as_str, &ctx)?;
     }
-    let mut paths = 0usize;
-    for line in text[paths_at..summary_at].lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        paths += 1;
-        for field in ["\"rule\": \"", "\"file\": \"", "\"line\": ", "\"path\": \""] {
-            if !line.contains(field) {
-                return Err(format!("witness path {paths}: missing {field}"));
-            }
-        }
-        let rule = field_str(line, "rule").unwrap_or_default();
-        if LintKind::from_name(&rule).is_none() {
-            return Err(format!(
-                "witness path {paths}: unregistered rule id {rule:?}"
-            ));
-        }
+    summary(
+        &doc,
+        &[
+            "nodes",
+            "edges",
+            "kernel_roots",
+            "panic_sinks",
+            "witness_paths",
+            "ambiguous_edges",
+        ],
+    )
+}
+
+/// Appends the array `name` in the house layout: one record line per
+/// item, rendered by `record` from the item's index and value.
+fn push_records<T>(
+    out: &mut String,
+    name: &str,
+    items: &[T],
+    record: impl Fn(usize, &T) -> String,
+) {
+    out.push_str(&format!("  \"{name}\": [\n"));
+    for (i, item) in items.iter().enumerate() {
+        out.push_str("    ");
+        out.push_str(&record(i, item));
+        out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
     }
-    for count in [
-        "nodes",
-        "edges",
-        "kernel_roots",
-        "panic_sinks",
-        "witness_paths",
-        "ambiguous_edges",
-    ] {
-        if !text[summary_at..].contains(&format!("\"{count}\": ")) {
-            return Err(format!("summary: missing \"{count}\" count"));
-        }
+    out.push_str("  ],\n");
+}
+
+/// Parses a report and checks its file-level string `tag`.
+fn report_doc(text: &str) -> Result<Json, String> {
+    let doc = parse_json(text).map_err(|e| format!("not JSON: {e}"))?;
+    doc.field("tag", Json::as_str, "file")?;
+    Ok(doc)
+}
+
+/// The report's top-level array `name`.
+fn array<'a>(doc: &'a Json, name: &str) -> Result<&'a [Json], String> {
+    doc.field(name, Json::as_array, "file")
+}
+
+/// Checks that a record's `rule` is a registered rule id.
+fn rule_id(rec: &Json, ctx: &str) -> Result<(), String> {
+    let rule = rec.field("rule", Json::as_str, ctx)?;
+    match LintKind::from_name(rule) {
+        Some(_) => Ok(()),
+        None => Err(format!("{ctx}: unregistered rule id {rule:?}")),
+    }
+}
+
+/// Checks that the `summary` object carries every count in `counts`.
+fn summary(doc: &Json, counts: &[&str]) -> Result<(), String> {
+    let summary = doc.field("summary", |s| s.as_object().map(|_| s), "file")?;
+    for count in counts {
+        summary.field(count, Json::as_usize, "summary")?;
     }
     Ok(())
-}
-
-/// Extracts the value of a `"name": 123` numeric field on a record
-/// line.
-fn field_num(line: &str, name: &str) -> Option<usize> {
-    let pat = format!("\"{name}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts the value of a `"name": "value"` field on a record line.
-fn field_str(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// JSON string literal with the mandatory escapes (the same contract as
-/// the bench writer's).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -613,6 +478,26 @@ fn helper(out: &mut [f64]) {\n    let v = out.to_vec();\n}\n";
         assert!(validate_callgraph_json(&no_summary)
             .unwrap_err()
             .contains("ambiguous_edges"));
+    }
+
+    #[test]
+    fn validators_check_field_types_not_just_names() {
+        let dir = std::env::temp_dir().join("pmor_lint_json_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = write_lint_json_in(&dir, "types", &sample()).unwrap();
+        let good = std::fs::read_to_string(&path).unwrap();
+        let string_line = good.replace("\"line\": 12,", "\"line\": \"12\",");
+        assert_ne!(string_line, good);
+        let err = validate_lint_json(&string_line).unwrap_err();
+        assert!(err.contains("finding 1") && err.contains("line"), "{err}");
+
+        let (graph, witnesses) = sample_graph();
+        let path = write_callgraph_json_in(&dir, "types", &graph, &witnesses).unwrap();
+        let good = std::fs::read_to_string(&path).unwrap();
+        let string_kernel = good.replace("\"kernel\": true", "\"kernel\": \"true\"");
+        assert_ne!(string_kernel, good);
+        let err = validate_callgraph_json(&string_kernel).unwrap_err();
+        assert!(err.contains("kernel"), "{err}");
     }
 
     #[test]

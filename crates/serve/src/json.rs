@@ -2,9 +2,9 @@
 //!
 //! A connection whose first byte is `{` speaks this instead of the
 //! binary protocol: one JSON object per line in, one per line out.
-//! The parser is hand-rolled and offline, in the same house style as
-//! the workspace TOML reader — recursive descent, depth-limited,
-//! typed errors, no dependencies.
+//! This module is only the request/response mapping: reading and
+//! writing go through the workspace's one JSON implementation,
+//! `pmor-json`, whose [`parse_json`] and [`Json`] are re-exported here.
 //!
 //! The fallback exists for quick `nc`/script interop; numbers travel
 //! as decimal text (shortest round-trip form, like `BENCH_*.json`),
@@ -23,243 +23,9 @@
 
 use crate::protocol::{FaultCode, Request, Response};
 use pmor::engine::EvalPoint;
+use pmor_json::{json_number, json_string};
+pub use pmor_json::{parse_json, Json};
 use pmor_num::Complex64;
-
-/// Nesting depth cap for the parser (arrays + objects combined).
-const MAX_DEPTH: usize = 32;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string with escapes resolved.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object; `None` for absent keys or
-    /// non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (whole-input: trailing garbage is an
-/// error).
-///
-/// # Errors
-///
-/// Returns a position-annotated message on any syntax violation,
-/// depth overflow, or trailing input.
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing input at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH}"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-    ) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| format!("invalid number at byte {start}"))?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        *pos += 1;
-                        let hi = parse_hex4(bytes, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require a following \uXXXX low half.
-                            if bytes.get(*pos) != Some(&b'\\') || bytes.get(*pos + 1) != Some(&b'u')
-                            {
-                                return Err("unpaired high surrogate".into());
-                            }
-                            *pos += 2;
-                            let lo = parse_hex4(bytes, pos)?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err("invalid low surrogate".into());
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err("unpaired low surrogate".into());
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| "invalid unicode escape".to_string())?,
-                        );
-                        continue; // parse_hex4 already advanced pos
-                    }
-                    _ => return Err(format!("invalid escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x20 => {
-                return Err(format!("raw control byte in string at {pos}", pos = *pos))
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so this is safe
-                // to slice at char boundaries found by the std decoder).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-    let end = pos
-        .checked_add(4)
-        .filter(|&e| e <= bytes.len())
-        .ok_or("truncated \\u escape")?;
-    let text =
-        std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "invalid \\u escape".to_string())?;
-    let v = u32::from_str_radix(text, 16).map_err(|_| format!("invalid \\u escape {text:?}"))?;
-    *pos = end;
-    Ok(v)
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&want) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {pos}",
-            want as char,
-            pos = *pos
-        ))
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while matches!(bytes.get(*pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-        *pos += 1;
-    }
-}
 
 /// Parses one JSON request line into `(req_id, Request)`.
 ///
@@ -337,72 +103,50 @@ pub fn request_from_json(line: &str) -> Result<(u32, Request), String> {
 /// shortest-round-trip decimal form as `BENCH_*.json` (non-finite →
 /// `null`).
 pub fn response_to_json(id: u32, resp: &Response) -> String {
-    let mut out = String::with_capacity(64);
-    out.push_str("{\"id\":");
-    out.push_str(&id.to_string());
-    match resp {
-        Response::Pong => out.push_str(",\"ok\":\"pong\""),
-        Response::ShutdownAck => out.push_str(",\"ok\":\"shutdown\""),
-        Response::Info(info) => {
-            out.push_str(",\"ok\":\"info\",\"protocol_version\":");
-            out.push_str(&info.protocol_version.to_string());
-            out.push_str(",\"max_frame\":");
-            out.push_str(&info.max_frame.to_string());
-            out.push_str(",\"max_batch\":");
-            out.push_str(&info.max_batch.to_string());
-            out.push_str(",\"roms\":[");
-            for (i, stamp) in info.roms.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_stamp_json(&mut out, stamp);
-            }
-            out.push(']');
-        }
+    let body = match resp {
+        Response::Pong => "\"ok\":\"pong\"".to_string(),
+        Response::ShutdownAck => "\"ok\":\"shutdown\"".to_string(),
+        Response::Info(info) => format!(
+            "\"ok\":\"info\",\"protocol_version\":{},\"max_frame\":{},\"max_batch\":{},\
+             \"roms\":[{}]",
+            info.protocol_version,
+            info.max_frame,
+            info.max_batch,
+            info.roms
+                .iter()
+                .map(stamp_json)
+                .collect::<Vec<_>>()
+                .join(",")
+        ),
         Response::RomLoaded(stamp) => {
-            out.push_str(",\"ok\":\"rom_loaded\",\"rom\":");
-            push_stamp_json(&mut out, stamp);
+            format!("\"ok\":\"rom_loaded\",\"rom\":{}", stamp_json(stamp))
         }
         Response::Eval(reply) => {
             let p = &reply.provenance;
-            out.push_str(",\"ok\":\"eval\",\"rom\":\"");
-            out.push_str(&format!("{:016x}", p.rom_fingerprint));
-            out.push_str("\",\"eval_points\":");
-            out.push_str(&p.eval_points.to_string());
-            out.push_str(",\"threads\":");
-            out.push_str(&p.threads.to_string());
-            out.push_str(",\"eval_seconds\":");
-            out.push_str(&json_number(p.eval_seconds));
-            out.push_str(",\"rows\":");
-            out.push_str(&reply.rows.to_string());
-            out.push_str(",\"cols\":");
-            out.push_str(&reply.cols.to_string());
-            out.push_str(",\"values\":[");
-            for (i, v) in reply.values.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&json_number(v.re));
-                out.push(',');
-                out.push_str(&json_number(v.im));
-                out.push(']');
-            }
-            out.push(']');
+            let values: Vec<String> = reply
+                .values
+                .iter()
+                .map(|v| format!("[{},{}]", json_number(v.re), json_number(v.im)))
+                .collect();
+            format!(
+                "\"ok\":\"eval\",\"rom\":\"{:016x}\",\"eval_points\":{},\"threads\":{},\
+                 \"eval_seconds\":{},\"rows\":{},\"cols\":{},\"values\":[{}]",
+                p.rom_fingerprint,
+                p.eval_points,
+                p.threads,
+                json_number(p.eval_seconds),
+                reply.rows,
+                reply.cols,
+                values.join(",")
+            )
         }
-        Response::Error(fault) => {
-            out.push_str(",\"error\":\"");
-            out.push_str(fault.code.name());
-            out.push_str("\",\"message\":");
-            push_json_string(&mut out, &fault.message);
-        }
-    }
-    out.push('}');
-    out
+        Response::Error(fault) => error_body(fault.code, &fault.message),
+    };
+    format!("{{\"id\":{id},{body}}}")
 }
 
-fn push_stamp_json(out: &mut String, stamp: &crate::protocol::RomStamp) {
-    out.push_str(&format!(
+fn stamp_json(stamp: &crate::protocol::RomStamp) -> String {
+    format!(
         "{{\"fingerprint\":\"{:016x}\",\"states\":{},\"full_dim\":{},\"num_params\":{},\
          \"num_inputs\":{},\"num_outputs\":{}}}",
         stamp.fingerprint,
@@ -411,48 +155,20 @@ fn push_stamp_json(out: &mut String, stamp: &crate::protocol::RomStamp) {
         stamp.num_params,
         stamp.num_inputs,
         stamp.num_outputs
-    ));
+    )
 }
 
-/// Shortest decimal form that round-trips through `f64` parsing, with
-/// `.0` appended to integral values so the reader sees a float;
-/// non-finite values become `null` (mirrors the bench report writer).
-fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn error_body(code: FaultCode, message: &str) -> String {
+    format!(
+        "\"error\":\"{}\",\"message\":{}",
+        code.name(),
+        json_string(message)
+    )
 }
 
 /// The standard fault line for an unparsable JSON request.
 pub fn malformed_line(detail: &str) -> String {
-    let mut out = String::from("{\"id\":0,\"error\":\"");
-    out.push_str(FaultCode::Malformed.name());
-    out.push_str("\",\"message\":");
-    push_json_string(&mut out, detail);
-    out.push('}');
-    out
+    format!("{{\"id\":0,{}}}", error_body(FaultCode::Malformed, detail))
 }
 
 #[cfg(test)]
@@ -461,40 +177,11 @@ mod tests {
     use crate::protocol::{EvalReply, Provenance, RomStamp, ServeFault, ServerInfo};
 
     #[test]
-    fn parses_scalars_and_nesting() {
-        assert_eq!(parse_json("null").unwrap(), Json::Null);
-        assert_eq!(parse_json(" true ").unwrap(), Json::Bool(true));
-        assert_eq!(parse_json("-1.5e3").unwrap(), Json::Num(-1500.0));
-        assert_eq!(
-            parse_json(r#""a\nb\u00e9\ud83d\ude00""#).unwrap(),
-            Json::Str("a\nb\u{e9}\u{1F600}".to_string())
-        );
-        let doc = parse_json(r#"{"a":[1,{"b":[]}],"c":{}}"#).unwrap();
-        assert!(matches!(doc.get("a"), Some(Json::Arr(items)) if items.len() == 2));
-        assert_eq!(doc.get("c"), Some(&Json::Obj(vec![])));
-    }
-
-    #[test]
-    fn rejects_garbage_without_panicking() {
-        for bad in [
-            "",
-            "{",
-            "}",
-            "[1,",
-            "{\"a\"}",
-            "tru",
-            "1.2.3",
-            "\"\\q\"",
-            "\"\\ud800\"",
-            "\"\\udc00x\"",
-            "{} trailing",
-            "\"unterminated",
-        ] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
-        }
-        // Depth bomb stops at the limit instead of blowing the stack.
-        let deep = "[".repeat(200) + &"]".repeat(200);
-        assert!(parse_json(&deep).is_err());
+    fn json_number_matches_report_style() {
+        assert_eq!(json_number(2.0), "2.0");
+        assert_eq!(json_number(0.1), "0.1");
+        assert_eq!(json_number(f64::INFINITY), "null");
+        assert!(json_number(1e300).parse::<f64>().unwrap() == 1e300);
     }
 
     #[test]
@@ -521,6 +208,24 @@ mod tests {
         assert!(request_from_json(r#"{"op":"eval","rom":"zz","points":[]}"#).is_err());
         assert!(request_from_json(r#"{"op":"nope"}"#).is_err());
         assert!(request_from_json(r#"{"id":-1,"op":"ping"}"#).is_err());
+    }
+
+    #[test]
+    fn overflowing_numbers_are_malformed_not_infinite() {
+        for point in [
+            r#"{"params":[1e400],"s":[0.0,1.0]}"#,
+            r#"{"params":[0.1],"s":[-1e400,1.0]}"#,
+        ] {
+            let line = format!(r#"{{"op":"eval","rom":"00000000000000ff","points":[{point}]}}"#);
+            let err = request_from_json(&line).unwrap_err();
+            assert!(err.contains("overflows"), "{point}: {err}");
+        }
+        // Underflow is an ordinary zero.
+        let line = r#"{"op":"eval","rom":"ff","points":[{"params":[1e-400],"s":[0.0,1.0]}]}"#;
+        match request_from_json(line).unwrap().1 {
+            Request::Eval { points, .. } => assert_eq!(points[0].params, vec![0.0]),
+            other => panic!("unexpected request {other:?}"),
+        }
     }
 
     #[test]
@@ -579,13 +284,5 @@ mod tests {
         // NaN rendered as null, exact hex fingerprint present.
         assert!(lines[4].contains("null"));
         assert!(lines[4].contains("0000000000000abc"));
-    }
-
-    #[test]
-    fn json_number_matches_report_style() {
-        assert_eq!(json_number(2.0), "2.0");
-        assert_eq!(json_number(0.1), "0.1");
-        assert_eq!(json_number(f64::INFINITY), "null");
-        assert!(json_number(1e300).parse::<f64>().unwrap() == 1e300);
     }
 }

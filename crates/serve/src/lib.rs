@@ -15,12 +15,14 @@
 //! `EvalEngine::transfer_batch` over the same points.
 //!
 //! The wire format ([`protocol`]) is a small length-prefixed binary
-//! protocol with a checksum trailer, plus a newline-delimited JSON
-//! fallback ([`json`]) in the same hand-rolled offline style as the
-//! workspace's TOML parser. Robustness is part of the contract:
-//! per-connection read timeouts, max-frame and max-batch limits,
-//! malformed-frame rejection that never kills the daemon, and graceful
-//! shutdown that drains in-flight batches before exiting.
+//! protocol with a checksum trailer, decoded through the shared
+//! bounds-checked [`pmor::rom::ByteReader`], plus a newline-delimited
+//! JSON fallback ([`json`]) that maps requests and responses onto the
+//! workspace's one JSON reader and writer, `pmor-json`. Robustness is
+//! part of the contract: per-connection read timeouts, max-frame and
+//! max-batch limits, malformed-frame rejection that never kills the
+//! daemon, and graceful shutdown that drains in-flight batches before
+//! exiting.
 //!
 //! ```no_run
 //! use pmor_serve::{Client, ServeAddr, ServeConfig, Server};

@@ -29,7 +29,7 @@
 
 use crate::ServeError;
 use pmor::engine::EvalPoint;
-use pmor::rom::fnv1a;
+use pmor::rom::{fnv1a, ByteReader, Truncated};
 use pmor::ParametricRom;
 use pmor_bench::BenchRecord;
 use pmor_num::{Complex64, Matrix};
@@ -561,7 +561,7 @@ pub fn decode_request(frame: &[u8]) -> Result<(u32, Request), ServeError> {
             )))
         }
     };
-    r.finish()?;
+    finish(&r)?;
     Ok((header.req_id, req))
 }
 
@@ -576,7 +576,7 @@ pub fn decode_response(frame: &[u8]) -> Result<(u32, Response), ServeError> {
     let resp = match header.tag {
         RESP_PONG => Response::Pong,
         RESP_INFO => {
-            let protocol_version = r.take_u8()?;
+            let protocol_version = r.take(1)?[0];
             let max_frame = r.take_u32()?;
             let max_batch = r.take_u32()?;
             let count = r.take_u32()? as usize;
@@ -660,7 +660,7 @@ pub fn decode_response(frame: &[u8]) -> Result<(u32, Response), ServeError> {
             )))
         }
     };
-    r.finish()?;
+    finish(&r)?;
     Ok((header.req_id, resp))
 }
 
@@ -735,67 +735,19 @@ fn take_stamp(r: &mut ByteReader<'_>) -> Result<RomStamp, ServeError> {
     })
 }
 
-/// Bounds-checked little-endian cursor: the reason the decoder cannot
-/// panic on byte soup.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<Truncated> for ServeError {
+    fn from(_: Truncated) -> Self {
+        ServeError::Protocol("truncated frame body".into())
+    }
 }
 
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| ServeError::Protocol("truncated frame body".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn take_u8(&mut self) -> Result<u8, ServeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn take_u16(&mut self) -> Result<u16, ServeError> {
-        let b = self.take(2)?;
-        let mut a = [0u8; 2];
-        a.copy_from_slice(b);
-        Ok(u16::from_le_bytes(a))
-    }
-
-    fn take_u32(&mut self) -> Result<u32, ServeError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn take_u64(&mut self) -> Result<u64, ServeError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn finish(&self) -> Result<(), ServeError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(ServeError::Protocol(format!(
-                "{} trailing bytes after frame body",
-                self.remaining()
-            )))
-        }
+/// Rejects bytes left over after a fully decoded frame body.
+fn finish(r: &ByteReader<'_>) -> Result<(), ServeError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(ServeError::Protocol(format!(
+            "{n} trailing bytes after frame body"
+        ))),
     }
 }
 

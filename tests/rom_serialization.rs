@@ -5,7 +5,7 @@
 //! returns bit-for-bit identical values — and corrupted or
 //! unknown-version files are rejected instead of misread.
 
-use pmor::rom::{from_bytes, to_bytes, ROM_FORMAT_VERSION, ROM_MAGIC};
+use pmor::rom::{fnv1a, from_bytes, to_bytes, ROM_FORMAT_VERSION, ROM_MAGIC};
 use pmor::{reducer_by_name, ParametricRom, PmorError};
 use pmor_circuits::generators::{
     clock_tree, rc_mesh, rc_random, rlc_bus, ClockTreeConfig, RcMeshConfig, RcRandomConfig,
@@ -15,7 +15,7 @@ use pmor_circuits::ParametricSystem;
 use pmor_num::Complex64;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Small instances of every generator family.
 fn workloads() -> Vec<(&'static str, ParametricSystem)> {
@@ -161,6 +161,83 @@ fn corrupted_bytes_are_rejected_everywhere() {
     });
     // The pristine bytes still load.
     assert!(from_bytes(&good).is_ok());
+}
+
+/// `bytes` with its trailing checksum recomputed over the (edited)
+/// payload, so the decoder itself — not the checksum — must judge it.
+fn restamped(mut bytes: Vec<u8>) -> Vec<u8> {
+    let end = bytes.len() - 8;
+    let sum = fnv1a(&bytes[12..end]);
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+fn small_rom_bytes() -> Vec<u8> {
+    let sys = clock_tree(&ClockTreeConfig {
+        num_nodes: 12,
+        ..Default::default()
+    })
+    .assemble();
+    let rom = reducer_by_name("prima", &sys)
+        .unwrap()
+        .reduce_once(&sys)
+        .unwrap();
+    to_bytes(&rom)
+}
+
+#[test]
+fn restamped_soup_reaches_the_decoder_and_never_panics() {
+    let good = small_rom_bytes();
+    let header = 12..12 + 5 * 8;
+    let mut runner = proptest::TestRunner::new(proptest::ProptestConfig::with_cases(256));
+    runner.run(|rng| {
+        // Header-count soup: one of size/full_dim/np/ni/no replaced by
+        // a small, a plausible-but-huge, or an arbitrary count.
+        let field = 12 + 8 * rng.gen_range(0..5usize);
+        let old = u64::from_le_bytes(good[field..field + 8].try_into().unwrap());
+        let count = match rng.gen_range(0..4usize) {
+            0 => rng.gen_range(0..64u64),
+            1 => 1 << 24,
+            2 => rng.gen_range(1u64 << 20..1 << 24),
+            _ => rng.next_u64(),
+        };
+        let mut bad = good.clone();
+        bad[field..field + 8].copy_from_slice(&count.to_le_bytes());
+        let result = from_bytes(&restamped(bad));
+        prop_assert!(
+            count == old || result.is_err(),
+            "header field at {field}: count {count} (was {old}) accepted"
+        );
+        // Payload soup: random bytes over a random stretch of the real
+        // payload (header included), or a wholly random payload.
+        let mut soup = good.clone();
+        if rng.gen_range(0..4usize) == 0 {
+            let len = rng.gen_range(0..400usize);
+            soup.truncate(12);
+            soup.extend((0..len + 8).map(|_| rng.next_u64() as u8));
+        } else {
+            let from = rng.gen_range(header.start..good.len() - 8);
+            let to = rng.gen_range(from..good.len() - 8);
+            for b in &mut soup[from..=to] {
+                *b = rng.next_u64() as u8;
+            }
+        }
+        let _ = from_bytes(&restamped(soup));
+        Ok(())
+    });
+}
+
+#[test]
+fn forged_parameter_count_is_rejected_before_allocating() {
+    // np = 2^24 passes the per-dimension plausibility cap; with a
+    // re-stamped checksum only the bytes-left check stands between it
+    // and two 640 MiB reservations.
+    let mut bad = small_rom_bytes();
+    bad[12 + 16..12 + 24].copy_from_slice(&(1u64 << 24).to_le_bytes());
+    match from_bytes(&restamped(bad)) {
+        Err(PmorError::Invalid(msg)) => assert!(msg.contains("parameters"), "{msg}"),
+        other => panic!("forged parameter count accepted: {other:?}"),
+    }
 }
 
 #[test]
